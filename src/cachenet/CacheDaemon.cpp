@@ -4,9 +4,6 @@
 
 #include "support/Metrics.h"
 
-#include <csignal>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace se2gis;
@@ -23,26 +20,15 @@ bool se2gis::validCacheSegmentName(const std::string &Name) {
   return true;
 }
 
-CacheDaemon::CacheDaemon(CacheDaemonConfig C) : Config(std::move(C)) {}
+CacheDaemon::CacheDaemon(CacheDaemonConfig C)
+    : Config(std::move(C)),
+      Frames("cached",
+             {[this](const JsonValue &Req) { return handleRequest(Req); },
+              [this] { return renderMetrics(); }, [this] { syncStore(); }}) {}
 
-CacheDaemon::~CacheDaemon() {
-  closeFd(ListenFd);
-  closeFd(MetricsFd);
-  closeFd(WakePipe[0]);
-  closeFd(WakePipe[1]);
-  if (BoundAddr.IsUnix && !BoundAddr.Path.empty())
-    ::unlink(BoundAddr.Path.c_str());
-  if (MetricsBoundAddr.IsUnix && !MetricsBoundAddr.Path.empty())
-    ::unlink(MetricsBoundAddr.Path.c_str());
-}
+CacheDaemon::~CacheDaemon() = default;
 
 bool CacheDaemon::start(std::string &Error) {
-  if (!parseServiceAddr(Config.Listen, BoundAddr, Error))
-    return false;
-  if (::pipe(WakePipe) != 0) {
-    Error = "cannot create wake pipe";
-    return false;
-  }
   configureLogging(Config.Log);
 
   Store = DiskStore::open(Config.Dir, Error);
@@ -56,20 +42,8 @@ bool CacheDaemon::start(std::string &Error) {
       segmentLocked(Name);
   }
 
-  ListenFd = listenOn(BoundAddr, Error);
-  if (ListenFd < 0)
+  if (!Frames.listen(Config.Listen, Config.MetricsAddr, Error))
     return false;
-  ::signal(SIGPIPE, SIG_IGN);
-
-  if (!Config.MetricsAddr.empty()) {
-    if (!parseServiceAddr(Config.MetricsAddr, MetricsBoundAddr, Error))
-      return false;
-    MetricsFd = listenOn(MetricsBoundAddr, Error);
-    if (MetricsFd < 0)
-      return false;
-    logf(LogLevel::Info, "cached", "metrics listener on %s",
-         MetricsBoundAddr.str().c_str());
-  }
 
   StartAt = std::chrono::steady_clock::now();
   std::uint64_t Entries = 0;
@@ -80,12 +54,9 @@ bool CacheDaemon::start(std::string &Error) {
   }
   logf(LogLevel::Info, "cached",
        "listening on %s (store %s, %llu entries warm)",
-       BoundAddr.str().c_str(), Config.Dir.c_str(),
+       addr().str().c_str(), Config.Dir.c_str(),
        static_cast<unsigned long long>(Entries));
-
-  AcceptThread = std::thread([this] { acceptLoop(); });
-  if (MetricsFd >= 0)
-    MetricsThread = std::thread([this] { metricsLoop(); });
+  Frames.start();
   return true;
 }
 
@@ -162,11 +133,11 @@ JsonValue CacheDaemon::handleGet(const JsonValue &Req) {
     Rejected.fetch_add(1, std::memory_order_relaxed);
     return ErrorResp;
   }
-  if (DrainStarted.load(std::memory_order_acquire))
+  std::lock_guard<std::mutex> Lock(StoreM);
+  if (Frames.draining())
     return makeErrorResponse(ErrorCode::Draining, "daemon is draining");
   Gets.fetch_add(1, std::memory_order_relaxed);
   JsonValue Resp = makeOkResponse();
-  std::lock_guard<std::mutex> Lock(StoreM);
   SegmentState &Seg = segmentLocked(Segment);
   auto It = Seg.Map.find(Key);
   if (It == Seg.Map.end()) {
@@ -201,11 +172,13 @@ JsonValue CacheDaemon::handlePut(const JsonValue &Req) {
                                  std::to_string(Config.MaxPayloadBytes) +
                                  " bytes)");
   }
-  if (DrainStarted.load(std::memory_order_acquire))
+  // Checked under the store lock, which the drain body's sync also takes:
+  // a put is either refused or appended before that sync.
+  std::lock_guard<std::mutex> Lock(StoreM);
+  if (Frames.draining())
     return makeErrorResponse(ErrorCode::Draining, "daemon is draining");
   Puts.fetch_add(1, std::memory_order_relaxed);
   JsonValue Resp = makeOkResponse();
-  std::lock_guard<std::mutex> Lock(StoreM);
   SegmentState &Seg = segmentLocked(Segment);
   auto [It, Fresh] = Seg.Map.emplace(Key, Payload->asString());
   (void)It;
@@ -223,7 +196,7 @@ JsonValue CacheDaemon::handlePut(const JsonValue &Req) {
 JsonValue CacheDaemon::handleStats() {
   JsonValue Resp = makeOkResponse();
   Resp.set("role", JsonValue::str("cached"));
-  Resp.set("listen", JsonValue::str(BoundAddr.str()));
+  Resp.set("listen", JsonValue::str(addr().str()));
   Resp.set("dir", JsonValue::str(Config.Dir));
   Resp.set("pid", JsonValue::number(std::int64_t(::getpid())));
   Resp.set("uptime_s",
@@ -237,7 +210,7 @@ JsonValue CacheDaemon::handleStats() {
   Resp.set("puts", JsonValue::number(std::int64_t(Puts.load())));
   Resp.set("puts_stored", JsonValue::number(std::int64_t(PutsStored.load())));
   Resp.set("rejected", JsonValue::number(std::int64_t(Rejected.load())));
-  Resp.set("draining", JsonValue::boolean(DrainStarted.load()));
+  Resp.set("draining", JsonValue::boolean(Frames.draining()));
   JsonValue Segs = JsonValue::object();
   std::uint64_t Entries = 0;
   {
@@ -270,110 +243,19 @@ JsonValue CacheDaemon::handleDrain() {
 }
 
 std::uint64_t CacheDaemon::drain() {
-  if (DrainStarted.exchange(true))
-    return DrainEntries.load(std::memory_order_acquire);
-  std::uint64_t Entries = 0;
-  {
-    std::lock_guard<std::mutex> Lock(StoreM);
-    for (const auto &[Name, Seg] : Segments)
-      Entries += Seg.Map.size();
-    // fsync before reporting drained: a drain-then-restart must replay
-    // every acknowledged put (same discipline as the service drain).
-    Store->sync();
-  }
-  DrainEntries.store(Entries, std::memory_order_release);
+  Frames.drain([this] { syncStore(); });
+  return DrainEntries;
+}
+
+void CacheDaemon::syncStore() {
+  std::lock_guard<std::mutex> Lock(StoreM);
+  for (const auto &[Name, Seg] : Segments)
+    DrainEntries += Seg.Map.size();
+  // fsync before reporting drained: a drain-then-restart must replay
+  // every acknowledged put (same discipline as the service drain).
+  Store->sync();
   logf(LogLevel::Info, "cached", "drain: store synced (%llu entries)",
-       static_cast<unsigned long long>(Entries));
-  Stop.store(true, std::memory_order_release);
-  if (WakePipe[1] >= 0) {
-    char B = 'w';
-    [[maybe_unused]] ssize_t W = ::write(WakePipe[1], &B, 1);
-  }
-  return Entries;
-}
-
-//===----------------------------------------------------------------------===//
-// Accept/connection/metrics loops (the Server.cpp shape, minus the queue)
-//===----------------------------------------------------------------------===//
-
-void CacheDaemon::requestDrainAsync() {
-  if (WakePipe[1] >= 0) {
-    char B = 'd';
-    [[maybe_unused]] ssize_t W = ::write(WakePipe[1], &B, 1);
-  }
-}
-
-void CacheDaemon::acceptLoop() {
-  while (!Stop.load(std::memory_order_acquire)) {
-    pollfd Fds[2] = {{ListenFd, POLLIN, 0}, {WakePipe[0], POLLIN, 0}};
-    int N = ::poll(Fds, 2, -1);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (Fds[1].revents & POLLIN) {
-      char B = 0;
-      [[maybe_unused]] ssize_t R = ::read(WakePipe[0], &B, 1);
-      if (B == 'd') {
-        drain();
-        break;
-      }
-      continue;
-    }
-    if (!(Fds[0].revents & POLLIN))
-      continue;
-    int ClientFd = ::accept(ListenFd, nullptr, nullptr);
-    if (ClientFd < 0)
-      continue;
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    if (Stop.load(std::memory_order_acquire)) {
-      closeFd(ClientFd);
-      break;
-    }
-    ConnFds.push_back(ClientFd);
-    ConnThreads.emplace_back([this, ClientFd] { connectionLoop(ClientFd); });
-  }
-}
-
-void CacheDaemon::connectionLoop(int Fd) {
-  std::string Payload;
-  while (true) {
-    FrameStatus St = readFrame(Fd, Payload);
-    if (St == FrameStatus::Eof || St == FrameStatus::Truncated ||
-        St == FrameStatus::IoError)
-      break;
-    if (St == FrameStatus::Oversized) {
-      writeFrame(Fd, makeErrorResponse(ErrorCode::OversizedFrame,
-                                       "frame exceeds the protocol bound")
-                         .dump());
-      break;
-    }
-    std::uint64_t Rid = NextRid.fetch_add(1, std::memory_order_relaxed);
-    RequestIdScope RidScope(Rid);
-    JsonValue Req;
-    std::string ParseError;
-    JsonValue Resp;
-    if (!JsonValue::parse(Payload, Req, ParseError))
-      Resp = makeErrorResponse(ErrorCode::ParseError, ParseError);
-    else if (!Req.isObject())
-      Resp = makeErrorResponse(ErrorCode::BadRequest,
-                               "request must be a JSON object");
-    else
-      Resp = handleRequest(Req);
-    Resp.set("rid", JsonValue::number(static_cast<std::int64_t>(Rid)));
-    if (!writeFrame(Fd, Resp.dump()))
-      break;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (auto It = ConnFds.begin(); It != ConnFds.end(); ++It)
-      if (*It == Fd) {
-        ConnFds.erase(It);
-        break;
-      }
-  }
-  closeFd(Fd);
+       static_cast<unsigned long long>(DrainEntries));
 }
 
 std::string CacheDaemon::renderMetrics() {
@@ -383,7 +265,7 @@ std::string CacheDaemon::renderMetrics() {
               std::chrono::steady_clock::now() - StartAt)
               .count());
   W.gauge("se2gis_cached_draining", "1 while the daemon is draining",
-          DrainStarted.load() ? 1 : 0);
+          Frames.draining() ? 1 : 0);
   W.counter("se2gis_cached_gets_total", "cache.get requests admitted",
             static_cast<double>(Gets.load()));
   W.counter("se2gis_cached_hits_total", "cache.get requests that found a key",
@@ -414,67 +296,4 @@ std::string CacheDaemon::renderMetrics() {
   return W.str();
 }
 
-void CacheDaemon::metricsLoop() {
-  while (!Stop.load(std::memory_order_acquire)) {
-    pollfd P = {MetricsFd, POLLIN, 0};
-    int N = ::poll(&P, 1, 200);
-    if (N < 0 && errno != EINTR)
-      break;
-    if (N <= 0 || !(P.revents & POLLIN))
-      continue;
-    int Fd = ::accept(MetricsFd, nullptr, nullptr);
-    if (Fd < 0)
-      continue;
-    std::string Req;
-    char Buf[1024];
-    while (Req.size() < 16384 && Req.find("\r\n\r\n") == std::string::npos) {
-      pollfd RP = {Fd, POLLIN, 0};
-      if (::poll(&RP, 1, 2000) <= 0 || !(RP.revents & POLLIN))
-        break;
-      ssize_t R = ::recv(Fd, Buf, sizeof(Buf), 0);
-      if (R <= 0)
-        break;
-      Req.append(Buf, static_cast<std::size_t>(R));
-    }
-    if (Req.find("\r\n\r\n") != std::string::npos ||
-        Req.find('\n') != std::string::npos) {
-      std::string Body = renderMetrics();
-      std::string Resp = "HTTP/1.0 200 OK\r\n"
-                         "Content-Type: text/plain; version=0.0.4; "
-                         "charset=utf-8\r\n"
-                         "Content-Length: " +
-                         std::to_string(Body.size()) +
-                         "\r\n"
-                         "Connection: close\r\n\r\n" +
-                         Body;
-      std::size_t Off = 0;
-      while (Off < Resp.size()) {
-        ssize_t W = ::send(Fd, Resp.data() + Off, Resp.size() - Off, 0);
-        if (W <= 0)
-          break;
-        Off += static_cast<std::size_t>(W);
-      }
-    }
-    closeFd(Fd);
-  }
-}
-
-void CacheDaemon::run() {
-  if (AcceptThread.joinable())
-    AcceptThread.join();
-  closeFd(ListenFd);
-  ListenFd = -1;
-  if (MetricsThread.joinable())
-    MetricsThread.join();
-  closeFd(MetricsFd);
-  MetricsFd = -1;
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (int Fd : ConnFds)
-      ::shutdown(Fd, SHUT_RD);
-  }
-  for (std::thread &T : ConnThreads)
-    if (T.joinable())
-      T.join();
-  ConnFds.clear();
-}
+void CacheDaemon::run() { Frames.run(); }

@@ -30,9 +30,10 @@
 /// assumes a single writer and no concurrent reader mid-rename (DESIGN.md
 /// "Memoization model"), and the daemon upholds that by construction.
 ///
-/// The daemon's own stats are exposed as Prometheus families
-/// (se2gis_cached_*) via --metrics-addr, same plain-HTTP listener as
-/// se2gis_served.
+/// The sockets — listeners, connection threads, request ids, the
+/// plain-HTTP metrics listener (families se2gis_cached_*), drain-once —
+/// are the FrameServer (service/FrameServer.h) that se2gis_served uses
+/// too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +41,7 @@
 #define SE2GIS_CACHENET_CACHEDAEMON_H
 
 #include "cache/DiskStore.h"
-#include "service/Protocol.h"
+#include "service/FrameServer.h"
 #include "support/Log.h"
 
 #include <atomic>
@@ -50,8 +51,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace se2gis {
 
@@ -83,14 +82,15 @@ public:
   void run();
 
   /// Async-signal-safe drain trigger (SIGINT/SIGTERM handlers).
-  void requestDrainAsync();
+  void requestDrainAsync() { Frames.requestDrainAsync(); }
 
-  /// Syncs the store and stops the daemon; idempotent. \returns the total
-  /// entry count at drain time.
+  /// Syncs the store and stops the daemon; idempotent. A concurrent call
+  /// blocks until the store is synced. \returns the total entry count at
+  /// drain time.
   std::uint64_t drain();
 
-  const ServiceAddr &addr() const { return BoundAddr; }
-  const ServiceAddr &metricsAddr() const { return MetricsBoundAddr; }
+  const ServiceAddr &addr() const { return Frames.addr(); }
+  const ServiceAddr &metricsAddr() const { return Frames.metricsAddr(); }
 
   /// Prometheus text exposition of the daemon's own families (exposed for
   /// tests; the HTTP listener serves exactly this).
@@ -105,26 +105,19 @@ private:
     std::uint64_t Bytes = 0; ///< sum of payload sizes (gauge fodder)
   };
 
-  void acceptLoop();
-  void connectionLoop(int Fd);
-  void metricsLoop();
-
   JsonValue handleRequest(const JsonValue &Req);
   JsonValue handleGet(const JsonValue &Req);
   JsonValue handlePut(const JsonValue &Req);
   JsonValue handleStats();
   JsonValue handleDrain();
+  /// The drain body: fsync the store and record DrainEntries.
+  void syncStore();
 
   /// Loads \p Name on first touch. Caller must hold StoreM — loadSegment
   /// may compact, and compaction requires exclusive store access.
   SegmentState &segmentLocked(const std::string &Name);
 
   CacheDaemonConfig Config;
-  ServiceAddr BoundAddr;
-  ServiceAddr MetricsBoundAddr;
-  int ListenFd = -1;
-  int MetricsFd = -1;
-  int WakePipe[2] = {-1, -1};
 
   std::mutex StoreM; ///< serializes gets, puts, loads, and compaction
   std::unique_ptr<DiskStore> Store;
@@ -132,18 +125,12 @@ private:
 
   std::atomic<std::uint64_t> Gets{0}, Hits{0}, Misses{0};
   std::atomic<std::uint64_t> Puts{0}, PutsStored{0}, Rejected{0};
-  std::atomic<std::uint64_t> NextRid{1};
   std::chrono::steady_clock::time_point StartAt;
+  /// Written by the drain body, read after Frames.drain returned.
+  std::uint64_t DrainEntries = 0;
 
-  std::atomic<bool> Stop{false};
-  std::atomic<bool> DrainStarted{false};
-  std::atomic<std::uint64_t> DrainEntries{0};
-
-  std::thread AcceptThread;
-  std::thread MetricsThread;
-  std::mutex ConnMutex;
-  std::vector<int> ConnFds;
-  std::vector<std::thread> ConnThreads;
+  /// Declared last: destroyed first, while the hooks' targets still exist.
+  FrameServer Frames;
 };
 
 /// \returns true when \p Name is an acceptable segment name: 1–64 chars of

@@ -5,13 +5,17 @@
 using namespace se2gis;
 
 std::unique_ptr<ServiceClient> ServiceClient::connect(const std::string &Addr,
-                                                      std::string &Error) {
+                                                      std::string &Error,
+                                                      int ConnectTimeoutMs,
+                                                      int IoTimeoutMs) {
   ServiceAddr Parsed;
   if (!parseServiceAddr(Addr, Parsed, Error))
     return nullptr;
-  int Fd = connectTo(Parsed, Error);
+  int Fd = connectTo(Parsed, Error, ConnectTimeoutMs);
   if (Fd < 0)
     return nullptr;
+  if (IoTimeoutMs >= 0)
+    setFdIoTimeout(Fd, IoTimeoutMs);
   return std::unique_ptr<ServiceClient>(
       new ServiceClient(Fd, std::move(Parsed)));
 }

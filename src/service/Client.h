@@ -1,11 +1,11 @@
 //===- Client.h - Synthesis service client ----------------------*- C++-*-===//
 ///
 /// \file
-/// A thin synchronous client for the synthesis service: one connection, one
-/// request/response exchange per \c call. The CLI's client mode and the
-/// integration tests sit on top of this; everything protocol-shaped
-/// (framing, bounds, typed errors) lives in Protocol.h so client and server
-/// cannot drift apart.
+/// A thin synchronous client for the frame protocol of both daemons: one
+/// connection, one request/response exchange per \c call. The `se2gis` and
+/// `se2gis_cached` client modes and the integration tests sit on top of
+/// this; everything protocol-shaped (framing, bounds, typed errors) lives
+/// in Protocol.h so client and server cannot drift apart.
 ///
 /// The client is deliberately blocking: the service protocol is strictly
 /// request/response on a connection, so a synchronous call maps 1:1 onto
@@ -28,9 +28,14 @@ namespace se2gis {
 class ServiceClient {
 public:
   /// Connects to \p Addr ("unix:<path>" or "tcp:<host>:<port>"). On failure
-  /// returns nullptr with a diagnostic in \p Error.
+  /// returns nullptr with a diagnostic in \p Error. A non-negative
+  /// \p ConnectTimeoutMs bounds the connect, a non-negative \p IoTimeoutMs
+  /// every later read and write (see connectTo / setFdIoTimeout); the
+  /// defaults block.
   static std::unique_ptr<ServiceClient> connect(const std::string &Addr,
-                                                std::string &Error);
+                                                std::string &Error,
+                                                int ConnectTimeoutMs = -1,
+                                                int IoTimeoutMs = -1);
 
   ~ServiceClient();
 

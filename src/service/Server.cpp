@@ -14,11 +14,6 @@
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
-#include <csignal>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 using namespace se2gis;
 
 namespace {
@@ -33,33 +28,17 @@ double msBetween(std::chrono::steady_clock::time_point From,
 } // namespace
 
 Server::Server(ServiceConfig C)
-    : Config(std::move(C)), Queue(Config.MaxQueue) {}
+    : Config(std::move(C)), Queue(Config.MaxQueue),
+      Frames("service",
+             {[this](const JsonValue &Req) { return handleRequest(Req); },
+              [this] { return renderMetrics(); },
+              [this] { drainQueue(Config.DrainTimeoutMs); }}) {}
 
-Server::~Server() {
-  closeFd(ListenFd);
-  closeFd(MetricsFd);
-  closeFd(WakePipe[0]);
-  closeFd(WakePipe[1]);
-  if (BoundAddr.IsUnix && !BoundAddr.Path.empty())
-    ::unlink(BoundAddr.Path.c_str());
-  if (MetricsBoundAddr.IsUnix && !MetricsBoundAddr.Path.empty())
-    ::unlink(MetricsBoundAddr.Path.c_str());
-}
+Server::~Server() = default;
 
 bool Server::start(std::string &Error) {
-  if (!parseServiceAddr(Config.Listen, BoundAddr, Error))
+  if (!Frames.listen(Config.Listen, Config.MetricsAddr, Error))
     return false;
-  if (::pipe(WakePipe) != 0) {
-    Error = "cannot create wake pipe";
-    return false;
-  }
-  ListenFd = listenOn(BoundAddr, Error);
-  if (ListenFd < 0)
-    return false;
-
-  // A client hanging up mid-response must degrade to a failed write, not a
-  // process-killing SIGPIPE.
-  ::signal(SIGPIPE, SIG_IGN);
 
   // Warm shared state before the first job: every worker then hits the
   // same process-wide caches, and the persistent segments are loaded once.
@@ -75,16 +54,6 @@ bool Server::start(std::string &Error) {
     flightInstallCrashHandler();
   }
 
-  if (!Config.MetricsAddr.empty()) {
-    if (!parseServiceAddr(Config.MetricsAddr, MetricsBoundAddr, Error))
-      return false;
-    MetricsFd = listenOn(MetricsBoundAddr, Error);
-    if (MetricsFd < 0)
-      return false;
-    logf(LogLevel::Info, "service", "metrics listener on %s",
-         MetricsBoundAddr.str().c_str());
-  }
-
   WorkerCount = Config.Workers
                     ? Config.Workers
                     : std::max(1u, ThreadPool::defaultConcurrency() / 2);
@@ -94,67 +63,13 @@ bool Server::start(std::string &Error) {
 
   logf(LogLevel::Info, "service",
        "listening on %s (%u workers, queue bound %zu, default budget %lld ms)",
-       BoundAddr.str().c_str(), WorkerCount, Config.MaxQueue,
+       addr().str().c_str(), WorkerCount, Config.MaxQueue,
        static_cast<long long>(Config.DefaultTimeoutMs));
 
   for (unsigned I = 0; I < WorkerCount; ++I)
     WorkerThreads.emplace_back([this] { workerLoop(); });
-  AcceptThread = std::thread([this] { acceptLoop(); });
-  if (MetricsFd >= 0)
-    MetricsThread = std::thread([this] { metricsLoop(); });
+  Frames.start();
   return true;
-}
-
-void Server::metricsLoop() {
-  // One scrape at a time, handled synchronously: Prometheus scrapes are
-  // seconds apart and the render is milliseconds, so a serial loop keeps
-  // this path trivially correct. The 200ms poll timeout bounds shutdown
-  // latency without sharing the accept loop's wake pipe.
-  while (!Stop.load(std::memory_order_acquire)) {
-    pollfd P = {MetricsFd, POLLIN, 0};
-    int N = ::poll(&P, 1, 200);
-    if (N < 0 && errno != EINTR)
-      break;
-    if (N <= 0 || !(P.revents & POLLIN))
-      continue;
-    int Fd = ::accept(MetricsFd, nullptr, nullptr);
-    if (Fd < 0)
-      continue;
-    // Read the request until the header terminator (the path is ignored:
-    // every route serves the exposition). Bounded and briefly timed so a
-    // stuck client cannot wedge the loop.
-    std::string Req;
-    char Buf[1024];
-    while (Req.size() < 16384 && Req.find("\r\n\r\n") == std::string::npos) {
-      pollfd RP = {Fd, POLLIN, 0};
-      if (::poll(&RP, 1, 2000) <= 0 || !(RP.revents & POLLIN))
-        break;
-      ssize_t R = ::recv(Fd, Buf, sizeof(Buf), 0);
-      if (R <= 0)
-        break;
-      Req.append(Buf, static_cast<std::size_t>(R));
-    }
-    if (Req.find("\r\n\r\n") != std::string::npos ||
-        Req.find('\n') != std::string::npos) {
-      std::string Body = renderMetrics();
-      std::string Resp = "HTTP/1.0 200 OK\r\n"
-                         "Content-Type: text/plain; version=0.0.4; "
-                         "charset=utf-8\r\n"
-                         "Content-Length: " +
-                         std::to_string(Body.size()) +
-                         "\r\n"
-                         "Connection: close\r\n\r\n" +
-                         Body;
-      std::size_t Off = 0;
-      while (Off < Resp.size()) {
-        ssize_t W = ::send(Fd, Resp.data() + Off, Resp.size() - Off, 0);
-        if (W <= 0)
-          break;
-        Off += static_cast<std::size_t>(W);
-      }
-    }
-    closeFd(Fd);
-  }
 }
 
 std::string Server::renderMetrics() {
@@ -183,98 +98,6 @@ std::string Server::renderMetrics() {
               JobLatency.snapshot());
   writeProcessMetrics(W, snapshotPerf());
   return W.str();
-}
-
-void Server::requestDrainAsync() {
-  // Async-signal-safe: one write to the wake pipe; the accept loop turns it
-  // into a real drain outside signal context.
-  if (WakePipe[1] >= 0) {
-    char B = 'd';
-    [[maybe_unused]] ssize_t W = ::write(WakePipe[1], &B, 1);
-  }
-}
-
-void Server::acceptLoop() {
-  while (!Stop.load(std::memory_order_acquire)) {
-    pollfd Fds[2] = {{ListenFd, POLLIN, 0}, {WakePipe[0], POLLIN, 0}};
-    int N = ::poll(Fds, 2, -1);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (Fds[1].revents & POLLIN) {
-      char B = 0;
-      [[maybe_unused]] ssize_t R = ::read(WakePipe[0], &B, 1);
-      if (B == 'd') {
-        drain(); // signal-initiated drain runs on the accept thread
-        break;
-      }
-      continue; // plain wake: re-check Stop
-    }
-    if (!(Fds[0].revents & POLLIN))
-      continue;
-    int ClientFd = ::accept(ListenFd, nullptr, nullptr);
-    if (ClientFd < 0)
-      continue;
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    if (Stop.load(std::memory_order_acquire)) {
-      closeFd(ClientFd);
-      break;
-    }
-    ConnFds.push_back(ClientFd);
-    ConnThreads.emplace_back([this, ClientFd] { connectionLoop(ClientFd); });
-  }
-}
-
-void Server::connectionLoop(int Fd) {
-  std::string Payload;
-  while (true) {
-    FrameStatus St = readFrame(Fd, Payload);
-    if (St == FrameStatus::Eof || St == FrameStatus::Truncated ||
-        St == FrameStatus::IoError)
-      break;
-    if (St == FrameStatus::Oversized) {
-      // The announced length cannot be trusted, so the stream cannot be
-      // resynchronized: answer with the typed error and hang up.
-      writeFrame(Fd, makeErrorResponse(ErrorCode::OversizedFrame,
-                                       "frame exceeds the protocol bound")
-                         .dump());
-      break;
-    }
-    // Mint the request id at admission and bind it for the whole handling
-    // of this frame: log lines, span args, and flight events produced on
-    // this thread all carry it, and the response echoes it.
-    std::uint64_t Rid = NextRid.fetch_add(1, std::memory_order_relaxed);
-    RequestIdScope RidScope(Rid);
-    JsonValue Req;
-    std::string ParseError;
-    JsonValue Resp;
-    if (!JsonValue::parse(Payload, Req, ParseError))
-      Resp = makeErrorResponse(ErrorCode::ParseError, ParseError);
-    else if (!Req.isObject())
-      Resp = makeErrorResponse(ErrorCode::BadRequest,
-                               "request must be a JSON object");
-    else
-      Resp = handleRequest(Req);
-    Resp.set("rid", JsonValue::number(static_cast<std::int64_t>(Rid)));
-    if (!writeFrame(Fd, Resp.dump()))
-      break;
-  }
-  // Deregister before closing: once the fd leaves ConnFds, run()'s
-  // shutdown sweep can no longer touch it, so the close cannot race a
-  // shutdown() on a recycled descriptor number. Closing here (not in
-  // run()) is what gives a peer of a dead conversation — an oversized
-  // frame, a hangup — its EOF immediately instead of at daemon exit.
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (auto It = ConnFds.begin(); It != ConnFds.end(); ++It)
-      if (*It == Fd) {
-        ConnFds.erase(It);
-        break;
-      }
-  }
-  closeFd(Fd);
 }
 
 JsonValue Server::handleRequest(const JsonValue &Req) {
@@ -484,7 +307,7 @@ JsonValue Server::handleStats() {
   QueueStats QS = Queue.stats();
   PerfSnapshot Perf = snapshotPerf();
   JsonValue Resp = makeOkResponse();
-  Resp.set("listen", JsonValue::str(BoundAddr.str()));
+  Resp.set("listen", JsonValue::str(addr().str()));
   Resp.set("workers", JsonValue::number(std::int64_t(WorkerCount)));
   Resp.set("queue_depth", JsonValue::number(std::int64_t(QS.QueueDepth)));
   Resp.set("in_flight", JsonValue::number(std::int64_t(QS.InFlight)));
@@ -551,30 +374,25 @@ JsonValue Server::handleStats() {
 
 JsonValue Server::handleDrain(const JsonValue &Req) {
   std::int64_t DeadlineMs = Req.getInt("deadline_ms", Config.DrainTimeoutMs);
-  if (DeadlineMs > 0)
-    Config.DrainTimeoutMs = DeadlineMs;
-  QueueStats Final = drain();
+  if (DeadlineMs <= 0)
+    DeadlineMs = Config.DrainTimeoutMs;
+  // Only the first drain's deadline counts; a concurrent drain waits for
+  // that one and reports the same final stats.
+  Frames.drain([&] { drainQueue(DeadlineMs); });
   JsonValue Resp = makeOkResponse();
   Resp.set("drained", JsonValue::boolean(true));
-  Resp.set("completed", JsonValue::number(std::int64_t(Final.Completed)));
-  Resp.set("cancelled", JsonValue::number(std::int64_t(Final.Cancelled)));
-  Resp.set("rejected", JsonValue::number(std::int64_t(Final.Rejected)));
+  Resp.set("completed", JsonValue::number(std::int64_t(DrainStats.Completed)));
+  Resp.set("cancelled", JsonValue::number(std::int64_t(DrainStats.Cancelled)));
+  Resp.set("rejected", JsonValue::number(std::int64_t(DrainStats.Rejected)));
   return Resp;
 }
 
-QueueStats Server::drain() {
-  if (DrainStarted.exchange(true)) {
-    // Someone else is draining: wait for them and report the same stats.
-    std::unique_lock<std::mutex> Lock(DrainMutex);
-    DrainCv.wait(Lock, [&] { return DrainDone; });
-    return DrainStats;
-  }
-
+void Server::drainQueue(std::int64_t DeadlineMs) {
   logf(LogLevel::Info, "service",
        "drain: admission closed, waiting up to %lld ms for in-flight work",
-       static_cast<long long>(Config.DrainTimeoutMs));
+       static_cast<long long>(DeadlineMs));
   Queue.beginDrain();
-  if (!Queue.waitIdle(Config.DrainTimeoutMs)) {
+  if (!Queue.waitIdle(DeadlineMs)) {
     logf(LogLevel::Warn, "service",
          "drain: deadline expired, cancelling remaining jobs");
     Queue.cancelAll();
@@ -592,27 +410,12 @@ QueueStats Server::drain() {
   if (!Config.Base.TracePath.empty())
     traceFlush();
 
-  QueueStats Final = Queue.stats();
+  DrainStats = Queue.stats();
   logf(LogLevel::Info, "service",
        "drain: done (%llu completed, %llu cancelled, %llu rejected)",
-       static_cast<unsigned long long>(Final.Completed),
-       static_cast<unsigned long long>(Final.Cancelled),
-       static_cast<unsigned long long>(Final.Rejected));
-
-  Stop.store(true, std::memory_order_release);
-  // Wake the accept loop out of poll() so run() can join it.
-  if (WakePipe[1] >= 0) {
-    char B = 'w';
-    [[maybe_unused]] ssize_t W = ::write(WakePipe[1], &B, 1);
-  }
-
-  {
-    std::lock_guard<std::mutex> Lock(DrainMutex);
-    DrainStats = Final;
-    DrainDone = true;
-  }
-  DrainCv.notify_all();
-  return Final;
+       static_cast<unsigned long long>(DrainStats.Completed),
+       static_cast<unsigned long long>(DrainStats.Cancelled),
+       static_cast<unsigned long long>(DrainStats.Rejected));
 }
 
 void Server::workerLoop() {
@@ -676,31 +479,8 @@ void Server::runJob(const std::shared_ptr<Job> &J) {
 }
 
 void Server::run() {
-  if (AcceptThread.joinable())
-    AcceptThread.join();
-  // Close the listen socket now, not at destruction: a bound-but-unaccepted
-  // socket keeps letting clients connect into the backlog, where they would
-  // wait on a daemon that will never serve them.
-  closeFd(ListenFd);
-  ListenFd = -1;
-  if (MetricsThread.joinable())
-    MetricsThread.join(); // exits on its next 200ms Stop poll
-  closeFd(MetricsFd);
-  MetricsFd = -1;
+  Frames.run();
   for (std::thread &W : WorkerThreads)
     if (W.joinable())
       W.join();
-  // Stop reading on every live connection (SHUT_RD unblocks readFrame with
-  // EOF but leaves the write half open, so an in-progress response — the
-  // drain reply in particular — still reaches its client). Each connection
-  // thread closes its own fd on the way out; here we only join them.
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (int Fd : ConnFds)
-      ::shutdown(Fd, SHUT_RD);
-  }
-  for (std::thread &T : ConnThreads)
-    if (T.joinable())
-      T.join();
-  ConnFds.clear();
 }

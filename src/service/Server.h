@@ -3,10 +3,10 @@
 /// \file
 /// The long-running multi-client synthesis service. One process hosts:
 ///
-///  - an accept loop (own thread) on a Unix-domain or TCP socket,
-///  - one connection thread per client speaking the framed JSON protocol
-///    (Protocol.h) — requests on a connection are handled in order, while
-///    distinct connections are fully concurrent,
+///  - a FrameServer (FrameServer.h): the listeners, one thread per client
+///    speaking the framed JSON protocol (Protocol.h) — requests on a
+///    connection are handled in order, while distinct connections are
+///    fully concurrent —, the plain-HTTP metrics listener, and drain-once,
 ///  - a bounded worker pool popping jobs off the \c JobQueue and running
 ///    them as ordinary \c SynthesisTask s under per-job deadlines mapped
 ///    onto the CancellationToken/Deadline machinery,
@@ -27,11 +27,10 @@
 #ifndef SE2GIS_SERVICE_SERVER_H
 #define SE2GIS_SERVICE_SERVER_H
 
+#include "service/FrameServer.h"
 #include "service/JobQueue.h"
-#include "service/Protocol.h"
 #include "support/Histogram.h"
 
-#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -87,14 +86,14 @@ public:
 
   /// Initiates a drain from outside the protocol (signal handlers write a
   /// byte to an internal pipe; this is the async-signal-safe entry).
-  void requestDrainAsync();
+  void requestDrainAsync() { Frames.requestDrainAsync(); }
 
   /// The bound address (with the real port for tcp:*:0). Valid after
   /// start().
-  const ServiceAddr &addr() const { return BoundAddr; }
+  const ServiceAddr &addr() const { return Frames.addr(); }
 
   /// The bound metrics address (valid after start() when configured).
-  const ServiceAddr &metricsAddr() const { return MetricsBoundAddr; }
+  const ServiceAddr &metricsAddr() const { return Frames.metricsAddr(); }
 
   unsigned workers() const { return WorkerCount; }
 
@@ -103,15 +102,13 @@ public:
   std::string renderMetrics();
 
 private:
-  void acceptLoop();
-  void connectionLoop(int Fd);
-  void metricsLoop();
   void workerLoop();
   void runJob(const std::shared_ptr<Job> &J);
 
-  /// Performs the drain sequence once; concurrent callers block until the
-  /// first finishes. \returns the final queue stats for the response.
-  QueueStats drain();
+  /// The drain body (run once, through Frames.drain): close admission,
+  /// wait up to \p DeadlineMs for in-flight work, cancel the rest, flush
+  /// the persistent store, and record the final stats in DrainStats.
+  void drainQueue(std::int64_t DeadlineMs);
 
   JsonValue handleRequest(const JsonValue &Req);
   JsonValue handleSubmit(const JsonValue &Req);
@@ -121,35 +118,16 @@ private:
   JsonValue handleDrain(const JsonValue &Req);
   JsonValue jobStateJson(const Job &J, bool WithResult) const;
 
-  ServiceConfig Config;
-  ServiceAddr BoundAddr;
-  ServiceAddr MetricsBoundAddr;
+  const ServiceConfig Config;
   unsigned WorkerCount = 0;
   JobQueue Queue;
   /// Wall time queued→terminal, for the stats response's quantiles.
   LatencyHistogram JobLatency;
-  /// Request ids, minted per framed request at admission and threaded into
-  /// logs, spans, flight events, job state, and every response payload.
-  std::atomic<std::uint64_t> NextRid{1};
-
-  int ListenFd = -1;
-  int MetricsFd = -1;
-  int WakePipe[2] = {-1, -1};
-  std::atomic<bool> Stop{false};
-  std::atomic<bool> DrainStarted{false};
-
-  std::thread AcceptThread;
-  std::thread MetricsThread;
   std::vector<std::thread> WorkerThreads;
-
-  std::mutex ConnMutex;
-  std::vector<std::thread> ConnThreads;
-  std::vector<int> ConnFds;
-
-  std::mutex DrainMutex;
-  std::condition_variable DrainCv;
-  bool DrainDone = false;
+  /// Written by the drain body, read after Frames.drain returned.
   QueueStats DrainStats;
+  /// Declared last: destroyed first, while the hooks' targets still exist.
+  FrameServer Frames;
 };
 
 } // namespace se2gis

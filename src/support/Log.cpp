@@ -57,40 +57,6 @@ std::string timestampUtc() {
   return Buf;
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 } // namespace
 
 const char *se2gis::logLevelName(LogLevel L) {
@@ -206,4 +172,37 @@ void se2gis::logf(LogLevel L, const char *Component, const char *Fmt, ...) {
   std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
   va_end(Args);
   logMessage(L, Component, Buf);
+}
+
+std::string se2gis::jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size() + 8);
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  return Out;
 }

@@ -101,6 +101,13 @@ __attribute__((format(printf, 3, 4)))
 #endif
 void logf(LogLevel L, const char *Component, const char *Fmt, ...);
 
+/// Escapes \p S as the *contents* of a JSON string literal (no quotes):
+/// quotes, backslashes, and every control character. The one escaper of
+/// every textual JSON writer (JSONL log sink, trace writer, service codec,
+/// fuzz manifest); only the async-signal-safe flight-recorder dump keeps
+/// its own.
+std::string jsonEscape(const std::string &S);
+
 } // namespace se2gis
 
 #endif // SE2GIS_SUPPORT_LOG_H

@@ -33,7 +33,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cachenet/CacheDaemon.h"
-#include "service/Protocol.h"
+#include "service/Client.h"
 #include "support/Log.h"
 
 #include <csignal>
@@ -84,36 +84,23 @@ int clientMain(const char *Method, int argc, char **argv) {
     return 64;
   }
 
+  // A bad address is a usage error (64); an unreachable daemon a
+  // transport failure (70), after at most the 2-s connect bound.
   ServiceAddr Addr;
   std::string Error;
   if (!parseServiceAddr(Connect, Addr, Error)) {
     logf(LogLevel::Error, "cached", "--connect: %s", Error.c_str());
     return 64;
   }
-  int Fd = connectTo(Addr, Error, /*TimeoutMs=*/2000);
-  if (Fd < 0) {
-    logf(LogLevel::Error, "cached", "connect %s: %s", Addr.str().c_str(),
-         Error.c_str());
-    return 70;
-  }
-  setFdIoTimeout(Fd, 5000);
-
-  JsonValue Req = JsonValue::object();
-  Req.set("method", JsonValue::str(Method));
-  std::string Payload;
-  if (!writeFrame(Fd, Req.dump()) ||
-      readFrame(Fd, Payload) != FrameStatus::Ok) {
-    logf(LogLevel::Error, "cached", "transport failure talking to %s",
-         Addr.str().c_str());
-    closeFd(Fd);
-    return 70;
-  }
-  closeFd(Fd);
-
-  std::printf("%s\n", Payload.c_str());
+  auto Client = ServiceClient::connect(Connect, Error,
+                                       /*ConnectTimeoutMs=*/2000,
+                                       /*IoTimeoutMs=*/5000);
   JsonValue Resp;
-  if (!JsonValue::parse(Payload, Resp, Error))
+  if (!Client || !Client->call(Method, Resp, Error)) {
+    logf(LogLevel::Error, "cached", "%s", Error.c_str());
     return 70;
+  }
+  std::printf("%s\n", Resp.dump().c_str());
   return Resp.getBool("ok") ? 0 : 4;
 }
 

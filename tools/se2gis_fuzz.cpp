@@ -58,22 +58,6 @@ void usage() {
                "                   [--trace PATH] [--inject-bug]\n");
 }
 
-/// JSON string escaping for the manifest (the strings involved are ASCII
-/// verdict/label text, but be safe about quotes/backslashes).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (C == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
-}
-
 void writeManifest(std::ostream &OS, const std::string &Name,
                    uint64_t GenSeed, unsigned CaseIndex,
                    const CaseReport &Rep, const DiffOptions &Opts,
