@@ -3,16 +3,19 @@
 /// \file
 /// Google-benchmark microbenchmarks of the primitive operations the SE²GIS
 /// loops are built from: symbolic unfolding, recursion elimination, frame
-/// computation, SGE construction, witness SMT queries, and PBE enumeration.
+/// computation, SGE construction, witness SMT queries, the SMT wrapper on a
+/// warm session, and PBE enumeration.
 /// These are ours (the paper reports end-to-end numbers only); they document
 /// where the time goes.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "cache/CacheConfig.h"
 #include "core/Approximation.h"
 #include "core/Witness.h"
 #include "eval/SymbolicEval.h"
 #include "frontend/Elaborate.h"
+#include "smt/Solver.h"
 #include "suite/Benchmarks.h"
 #include "synth/Enumerator.h"
 #include "synth/Grammar.h"
@@ -104,6 +107,28 @@ void BM_WitnessQuery(benchmark::State &State) {
         findFunctionalWitness(System, 1000, Deadline()));
 }
 BENCHMARK(BM_WitnessQuery);
+
+void BM_SmtQueryWarmSession(benchmark::State &State) {
+  // One small sat and one small unsat query per iteration on the thread's
+  // warm session, cache off: what the SMT wrapper costs around z3::check.
+  configureCache(CacheSettings{});
+  VarPtr X = freshVar("x", Type::intTy());
+  VarPtr Y = freshVar("y", Type::intTy());
+  TermPtr Gt3 = mkOp(OpKind::Gt, {mkVar(X), mkIntLit(3)});
+  std::vector<TermPtr> Sat = {Gt3, mkOp(OpKind::Lt, {mkVar(Y), mkVar(X)})};
+  std::vector<TermPtr> Unsat = {Gt3, mkOp(OpKind::Lt, {mkVar(X), mkIntLit(2)})};
+  quickCheck(Sat, 1000); // create the session outside the timed loop
+  for (auto _ : State) {
+    SmtModel M;
+    if (quickCheck(Sat, 1000, &M) != SmtResult::Sat ||
+        quickCheck(Unsat, 1000) != SmtResult::Unsat) {
+      State.SkipWithError("wrong verdict");
+      break;
+    }
+    benchmark::DoNotOptimize(M);
+  }
+}
+BENCHMARK(BM_SmtQueryWarmSession);
 
 void BM_PbeEnumeration(benchmark::State &State) {
   GrammarConfig G;

@@ -33,16 +33,25 @@ namespace se2gis {
 /// the thread's shared session or as a query-private fallback.
 class SmtSession {
 public:
-  explicit SmtSession(unsigned Seed) : Solver(Ctx), SeedApplied(Seed) {}
+  /// Applies a non-zero \p Seed to the solver once, here; the per-query
+  /// budget never touches solver params (see SmtQuery::checkSat).
+  explicit SmtSession(unsigned Seed) : Solver(Ctx), SeedApplied(Seed) {
+    if (Seed) {
+      z3::params P(Ctx);
+      P.set("random_seed", Seed);
+      Solver.set(P);
+    }
+  }
   SmtSession(const SmtSession &) = delete;
   SmtSession &operator=(const SmtSession &) = delete;
 
   z3::context Ctx;
   z3::solver Solver;
 
-  /// The Z3 random seed this session was acquired under; a later
-  /// setSmtRandomSeed call makes the next acquisition replace the session
-  /// (solver-internal random state is not reset by re-applying params).
+  /// The Z3 random seed the constructor applied (0 = Z3 default, nothing
+  /// applied). A later setSmtRandomSeed call makes the next acquisition
+  /// replace the session rather than re-seed it: solver-internal random
+  /// state is not reset by re-applying params.
   unsigned SeedApplied;
   /// Queries that have attached to this session (reuse = served > 1).
   std::uint64_t QueriesServed = 0;

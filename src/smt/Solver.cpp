@@ -537,15 +537,13 @@ SmtResult SmtQuery::checkSatImpl(int TimeoutMs, SmtModel *ModelOut,
   }
   try {
     // Budget via Z3's deterministic resource limit rather than the
-    // wall-clock "timeout" parameter (see smtRlimitForTimeoutMs). The limit
-    // is applied per check() call (Z3 scopes it to the call), so a
-    // long-lived session solver gives every query its own slice rather than
-    // a shared cumulative one.
-    z3::params P(I->ctx());
-    P.set("rlimit", smtRlimitForTimeoutMs(TimeoutMs));
-    if (unsigned Seed = I->session().SeedApplied)
-      P.set("random_seed", Seed);
-    I->solver().set(P);
+    // wall-clock "timeout" parameter (see smtRlimitForTimeoutMs), set on the
+    // context: the solver carries no rlimit param, so check() falls back to
+    // the context value and scopes it to the call, giving every query on a
+    // long-lived session its own slice. Re-setting solver params here
+    // instead cost ~1.1 ms per check.
+    I->ctx().set("rlimit",
+                 std::to_string(smtRlimitForTimeoutMs(TimeoutMs)).c_str());
 
     // Translate the requests before checking so their symbols exist.
     std::vector<std::vector<z3::expr>> RequestExprs;

@@ -294,8 +294,9 @@ TEST(UnrealModeTest, ChcModeSuppressesWitnessChannel) {
   Opts.TimeoutMs = 20000;
   Opts.Unreal = UnrealMode::Chc;
   Outcome R = runAlgorithm(AlgorithmKind::SE2GIS, P, Opts);
-  if (R.V == Verdict::Unrealizable)
+  if (R.V == Verdict::Unrealizable) {
     EXPECT_EQ(R.Ev.Source, VerdictSource::Chc) << R.Ev.str();
+  }
 }
 
 } // namespace

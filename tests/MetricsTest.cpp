@@ -4,7 +4,7 @@
 /// Tests for the operability layer: the Prometheus text renderer (header
 /// uniqueness, label escaping, cumulative histogram buckets, counter
 /// monotonicity across scrapes), the always-on flight recorder (ring
-/// overwrite accounting, JSON validity, reset), the seqlock progress
+/// overwrite accounting, JSON validity, reset), the mutex-guarded progress
 /// board, and the service-level wiring — the `metrics` protocol method,
 /// request-id echo on every response, gauge consistency with `stats`, and
 /// the flight dump a Timeout job leaves behind.
@@ -298,7 +298,7 @@ TEST(ProgressBoard, PublishThroughThreadLocalTarget) {
   EXPECT_EQ(S.Lemmas, 3u);
 }
 
-TEST(ProgressBoard, SeqlockReadsAreConsistentUnderContention) {
+TEST(ProgressBoard, ReadsAreConsistentUnderContention) {
   ProgressBoard B;
   std::atomic<bool> Stop{false};
   // Writer keeps Round and Lemmas in lockstep; a torn read would observe

@@ -5,7 +5,8 @@
 /// parity between incremental sessions and fresh contexts, push/pop scope
 /// semantics (including frame-scoped model readback), per-thread reuse,
 /// the busy/nested fallback, budget-expiry behavior, and seed-change
-/// invalidation. Everything here uses only the public SmtQuery surface —
+/// invalidation, and per-check budgets on a reused session. Everything here
+/// uses only the public SmtQuery surface —
 /// the session is observed through threadSmtSessionInfo and perf counters.
 ///
 //===----------------------------------------------------------------------===//
@@ -87,7 +88,7 @@ TEST(SmtSessionTest, VerdictParityWithFreshContexts) {
   Cases.push_back({{mkOp(OpKind::Gt, {mkVar(X), mkIntLit(0)})},
                    {mkEq(mkVar(X), mkIntLit(5))}});
 
-  std::vector<Observation> Fresh, Incremental;
+  std::vector<Observation> Fresh, Incremental, Seeded;
   {
     IncrementalGuard G(false);
     for (const Case &C : Cases)
@@ -98,12 +99,22 @@ TEST(SmtSessionTest, VerdictParityWithFreshContexts) {
     for (const Case &C : Cases)
       Incremental.push_back(observe(C.Hard, C.Soft));
   }
+  {
+    // A seeded session: the seed is applied once, at session construction.
+    IncrementalGuard G(true);
+    setSmtRandomSeed(12345);
+    for (const Case &C : Cases)
+      Seeded.push_back(observe(C.Hard, C.Soft));
+  }
 
   ASSERT_EQ(Fresh.size(), Incremental.size());
+  ASSERT_EQ(Fresh.size(), Seeded.size());
   for (size_t I = 0; I < Fresh.size(); ++I) {
     EXPECT_EQ(Fresh[I].R, Incremental[I].R) << "case " << I;
+    EXPECT_EQ(Fresh[I].R, Seeded[I].R) << "case " << I;
     // Same variables bound, in the same (ascending-Id) order.
     EXPECT_EQ(Fresh[I].VarIds, Incremental[I].VarIds) << "case " << I;
+    EXPECT_EQ(Fresh[I].VarIds, Seeded[I].VarIds) << "case " << I;
     EXPECT_TRUE(std::is_sorted(Incremental[I].VarIds.begin(),
                                Incremental[I].VarIds.end()))
         << "case " << I;
@@ -215,6 +226,64 @@ TEST(SmtSessionTest, BudgetExpiryFallsBackWithoutPoisoningVerdicts) {
   EXPECT_EQ(quickCheck({A}, 2000), SmtResult::Sat);
   EXPECT_EQ(quickCheck({A, mkOp(OpKind::Lt, {mkVar(X), mkIntLit(2)})}, 2000),
             SmtResult::Unsat);
+}
+
+/// Pigeonhole over integers: \p Holes + 1 values in [0, Holes) that are
+/// pairwise distinct. Unsat, and exponentially hard for the SMT core, so it
+/// consumes resource units steadily (unlike nonlinear queries, where Z3
+/// 4.8.12 can run for seconds without checking its rlimit).
+std::vector<TermPtr> pigeonhole(int Holes) {
+  std::vector<TermPtr> Out;
+  std::vector<VarPtr> P;
+  for (int I = 0; I <= Holes; ++I) {
+    P.push_back(freshVar("p", Type::intTy()));
+    Out.push_back(mkOp(OpKind::Ge, {mkVar(P.back()), mkIntLit(0)}));
+    Out.push_back(mkOp(OpKind::Lt, {mkVar(P.back()), mkIntLit(Holes)}));
+  }
+  for (int I = 0; I <= Holes; ++I)
+    for (int J = I + 1; J <= Holes; ++J)
+      Out.push_back(mkOp(OpKind::Ne, {mkVar(P[I]), mkVar(P[J])}));
+  return Out;
+}
+
+TEST(SmtSessionTest, PerQueryRlimitBindsOnReusedSession) {
+  IncrementalGuard G(true);
+  VarPtr X = freshVar("x", Type::intTy());
+  VarPtr Y = freshVar("y", Type::intTy());
+  TermPtr Gt3 = mkOp(OpKind::Gt, {mkVar(X), mkIntLit(3)});
+  std::vector<TermPtr> Easy = {Gt3, mkOp(OpKind::Lt, {mkVar(Y), mkVar(X)})};
+  std::vector<TermPtr> EasyUnsat = {Gt3,
+                                    mkOp(OpKind::Lt, {mkVar(X), mkIntLit(2)})};
+
+  EXPECT_EQ(quickCheck(Easy, 2000), SmtResult::Sat);
+  std::uint64_t Warm = threadSmtSessionInfo().Generation;
+
+  // A tiny budget binds on the warm session: the query runs out of
+  // resource units instead of finishing the search.
+  {
+    SmtQuery Q;
+    for (const TermPtr &A : pigeonhole(6))
+      Q.add(A);
+    SmtSessionInfo Info = threadSmtSessionInfo();
+    EXPECT_EQ(Info.Generation, Warm);
+    EXPECT_GE(Info.QueriesServed, 2u);
+    EXPECT_EQ(Q.checkSat(1), SmtResult::Unknown);
+  }
+
+  // The Unknown retired that session; its replacement serves every query
+  // below, each under its own budget.
+  EXPECT_EQ(quickCheck(Easy, 300), SmtResult::Sat);
+  std::uint64_t Replacement = threadSmtSessionInfo().Generation;
+  EXPECT_GT(Replacement, Warm);
+  for (int Ms : {300, 1000, 300}) {
+    EXPECT_EQ(quickCheck(Easy, Ms), SmtResult::Sat) << Ms << " ms";
+    EXPECT_EQ(quickCheck(EasyUnsat, Ms), SmtResult::Unsat) << Ms << " ms";
+  }
+  // A small budget does not stick to the context: the hard query, right
+  // after a 1-ms check, gets the full slice it asks for.
+  EXPECT_EQ(quickCheck(Easy, 1), SmtResult::Sat);
+  EXPECT_EQ(quickCheck(pigeonhole(6), 1000), SmtResult::Unsat);
+  EXPECT_EQ(threadSmtSessionInfo().Generation, Replacement);
 }
 
 TEST(SmtSessionTest, ResetWhileBusyRecyclesAtNextAcquisition) {
