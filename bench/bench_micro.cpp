@@ -17,6 +17,7 @@
 #include "frontend/Elaborate.h"
 #include "smt/Solver.h"
 #include "suite/Benchmarks.h"
+#include "support/PerfCounters.h"
 #include "synth/Enumerator.h"
 #include "synth/Grammar.h"
 
@@ -147,6 +148,37 @@ void BM_PbeEnumeration(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_PbeEnumeration)->Arg(3)->Arg(5)->Arg(7);
+
+/// A search that runs to its size bound: 16 examples, conditionals on, and
+/// a target (|a - b| + 1) that no term of size <= 9 fits, so the time is the
+/// per-candidate cost times every candidate up to that size.
+void BM_PbeEnumerationIte(benchmark::State &State) {
+  GrammarConfig G;
+  G.AllowIte = true;
+  VarPtr A = freshVar("a", Type::intTy());
+  VarPtr B = freshVar("b", Type::intTy());
+  std::vector<PbeExample> Ex;
+  for (long long V = 0; V < 16; ++V) {
+    long long X = V % 5 - 2, Y = V / 5 * 2 - 3;
+    Ex.push_back(
+        PbeExample{{{A->Id, Value::mkInt(X)}, {B->Id, Value::mkInt(Y)}},
+                   Value::mkInt((X > Y ? X - Y : Y - X) + 1)});
+  }
+  PerfSnapshot Before = snapshotPerf();
+  bool Found = false;
+  for (auto _ : State) {
+    Enumerator En(G, {mkVar(A), mkVar(B)});
+    auto R = En.synthesize(Type::intTy(), Ex, State.range(0), Deadline());
+    Found = R.has_value();
+    benchmark::DoNotOptimize(R);
+  }
+  State.counters["found"] = Found;
+  State.counters["candidates"] = benchmark::Counter(
+      static_cast<double>(
+          snapshotPerf().since(Before).get(PerfCounter::EnumCandidates)),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PbeEnumerationIte)->Arg(9)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

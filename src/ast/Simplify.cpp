@@ -2,34 +2,9 @@
 
 #include "ast/Simplify.h"
 
-#include "support/Diagnostics.h"
-
-#include <cassert>
-#include <cstdlib>
+#include "ast/ScalarOps.h"
 
 using namespace se2gis;
-
-long long se2gis::euclidDiv(long long A, long long B) {
-  if (B == 0)
-    return 0;
-  long long Q = A / B;
-  if (A % B != 0 && ((A % B < 0) != (B < 0)) && (A % B < 0))
-    Q -= (B > 0) ? 1 : -1;
-  // Recompute precisely: Euclidean quotient satisfies A = B*Q + R, 0 <= R.
-  long long R = A - B * Q;
-  if (R < 0)
-    Q += (B > 0) ? -1 : 1;
-  return Q;
-}
-
-long long se2gis::euclidMod(long long A, long long B) {
-  if (B == 0)
-    return 0;
-  long long R = A % B;
-  if (R < 0)
-    R += std::llabs(B);
-  return R;
-}
 
 namespace {
 
@@ -51,40 +26,8 @@ bool allIntLits(const std::vector<TermPtr> &Args) {
 TermPtr foldIntOp(OpKind Op, const std::vector<TermPtr> &Args) {
   long long A = Args[0]->getIntValue();
   long long B = Args.size() > 1 ? Args[1]->getIntValue() : 0;
-  switch (Op) {
-  case OpKind::Add:
-    return mkIntLit(A + B);
-  case OpKind::Sub:
-    return mkIntLit(A - B);
-  case OpKind::Neg:
-    return mkIntLit(-A);
-  case OpKind::Mul:
-    return mkIntLit(A * B);
-  case OpKind::Div:
-    return mkIntLit(euclidDiv(A, B));
-  case OpKind::Mod:
-    return mkIntLit(euclidMod(A, B));
-  case OpKind::Min:
-    return mkIntLit(A < B ? A : B);
-  case OpKind::Max:
-    return mkIntLit(A > B ? A : B);
-  case OpKind::Abs:
-    return mkIntLit(A < 0 ? -A : A);
-  case OpKind::Lt:
-    return mkBoolLit(A < B);
-  case OpKind::Le:
-    return mkBoolLit(A <= B);
-  case OpKind::Gt:
-    return mkBoolLit(A > B);
-  case OpKind::Ge:
-    return mkBoolLit(A >= B);
-  case OpKind::Eq:
-    return mkBoolLit(A == B);
-  case OpKind::Ne:
-    return mkBoolLit(A != B);
-  default:
-    fatalError("foldIntOp on non-integer operator");
-  }
+  long long R = evalIntOp(Op, A, B);
+  return isIntComparison(Op) ? mkBoolLit(R != 0) : mkIntLit(R);
 }
 
 /// Flattens nested And/Or of the same kind and drops literal units.

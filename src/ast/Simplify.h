@@ -27,13 +27,6 @@ TermPtr simplify(const TermPtr &T);
 /// normalize bottom-up themselves.
 TermPtr simplifyNode(const TermPtr &T);
 
-/// Euclidean division (the remainder is always non-negative), matching Z3's
-/// integer `div`. Division by zero yields 0 by convention.
-long long euclidDiv(long long A, long long B);
-
-/// Euclidean modulo, matching Z3's integer `mod`. Modulo by zero yields 0.
-long long euclidMod(long long A, long long B);
-
 } // namespace se2gis
 
 #endif // SE2GIS_AST_SIMPLIFY_H

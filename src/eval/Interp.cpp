@@ -2,7 +2,7 @@
 
 #include "eval/Interp.h"
 
-#include "ast/Simplify.h"
+#include "ast/ScalarOps.h"
 #include "support/Diagnostics.h"
 
 #include <cassert>
@@ -12,35 +12,8 @@ using namespace se2gis;
 namespace {
 
 ValuePtr evalOp(OpKind Op, const std::vector<ValuePtr> &Args) {
-  auto I = [&](size_t K) { return Args[K]->getInt(); };
   auto B = [&](size_t K) { return Args[K]->getBool(); };
   switch (Op) {
-  case OpKind::Add:
-    return Value::mkInt(I(0) + I(1));
-  case OpKind::Sub:
-    return Value::mkInt(I(0) - I(1));
-  case OpKind::Neg:
-    return Value::mkInt(-I(0));
-  case OpKind::Mul:
-    return Value::mkInt(I(0) * I(1));
-  case OpKind::Div:
-    return Value::mkInt(euclidDiv(I(0), I(1)));
-  case OpKind::Mod:
-    return Value::mkInt(euclidMod(I(0), I(1)));
-  case OpKind::Min:
-    return Value::mkInt(I(0) < I(1) ? I(0) : I(1));
-  case OpKind::Max:
-    return Value::mkInt(I(0) > I(1) ? I(0) : I(1));
-  case OpKind::Abs:
-    return Value::mkInt(I(0) < 0 ? -I(0) : I(0));
-  case OpKind::Lt:
-    return Value::mkBool(I(0) < I(1));
-  case OpKind::Le:
-    return Value::mkBool(I(0) <= I(1));
-  case OpKind::Gt:
-    return Value::mkBool(I(0) > I(1));
-  case OpKind::Ge:
-    return Value::mkBool(I(0) >= I(1));
   case OpKind::Eq:
     return Value::mkBool(valueEquals(Args[0], Args[1]));
   case OpKind::Ne:
@@ -63,8 +36,12 @@ ValuePtr evalOp(OpKind Op, const std::vector<ValuePtr> &Args) {
   }
   case OpKind::Ite:
     fatalError("ite handled before operand evaluation");
+  default:
+    break;
   }
-  fatalError("bad op kind in interpreter");
+  long long R = evalIntOp(Op, Args[0]->getInt(),
+                          Args.size() > 1 ? Args[1]->getInt() : 0);
+  return isIntComparison(Op) ? Value::mkBool(R != 0) : Value::mkInt(R);
 }
 
 } // namespace

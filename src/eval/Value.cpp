@@ -146,13 +146,12 @@ bool se2gis::valueLess(const ValuePtr &A, const ValuePtr &B) {
 }
 
 std::uint64_t se2gis::valueHash(const ValuePtr &V) {
-  std::uint64_t H =
-      static_cast<std::uint64_t>(V->getKind()) * 0x9e3779b9U + 0x51ed2701ULL;
+  std::uint64_t H = valueKindSeed(V->getKind());
   switch (V->getKind()) {
   case Value::Kind::Int:
-    return hashCombine(H, static_cast<std::uint64_t>(V->getInt()));
+    return intValueHash(V->getInt());
   case Value::Kind::Bool:
-    return hashCombine(H, V->getBool() ? 2 : 1);
+    return boolValueHash(V->getBool());
   case Value::Kind::Data:
     H = hashCombine(H, V->getCtor()->Index);
     [[fallthrough]];

@@ -11,6 +11,7 @@
 #ifndef SE2GIS_EVAL_VALUE_H
 #define SE2GIS_EVAL_VALUE_H
 
+#include "ast/Term.h"
 #include "ast/Type.h"
 
 #include <cstdint>
@@ -63,6 +64,22 @@ bool valueEquals(const ValuePtr &A, const ValuePtr &B);
 /// values hash equally). Used by the enumerator's observational-equivalence
 /// signatures.
 std::uint64_t valueHash(const ValuePtr &V);
+
+/// The seed \c valueHash starts from for a value of kind \p K.
+constexpr std::uint64_t valueKindSeed(Value::Kind K) {
+  return static_cast<std::uint64_t>(K) * 0x9e3779b9U + 0x51ed2701ULL;
+}
+
+/// \c valueHash of an Int value, without building the value.
+inline std::uint64_t intValueHash(long long V) {
+  return hashCombine(valueKindSeed(Value::Kind::Int),
+                     static_cast<std::uint64_t>(V));
+}
+
+/// \c valueHash of a Bool value, without building the value.
+inline std::uint64_t boolValueHash(bool B) {
+  return hashCombine(valueKindSeed(Value::Kind::Bool), B ? 2 : 1);
+}
 
 /// Orders values lexicographically; used for deterministic containers.
 bool valueLess(const ValuePtr &A, const ValuePtr &B);

@@ -2,7 +2,7 @@
 
 #include "synth/Enumerator.h"
 
-#include "ast/Simplify.h"
+#include "ast/ScalarOps.h"
 #include "cache/CacheConfig.h"
 #include "cache/Canonical.h"
 #include "cache/SgeSolutionCache.h"
@@ -13,8 +13,11 @@
 #include "support/Stopwatch.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <cstdlib>
+#include <ranges>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -56,36 +59,7 @@ ValuePtr se2gis::evalScalarTerm(const TermPtr &T, const Env &E) {
           return Value::mkBool(!IsAnd);
       return Value::mkBool(IsAnd);
     }
-    auto IntArg = [&](size_t K) {
-      return evalScalarTerm(T->getArg(K), E)->getInt();
-    };
     switch (Op) {
-    case OpKind::Add:
-      return Value::mkInt(IntArg(0) + IntArg(1));
-    case OpKind::Sub:
-      return Value::mkInt(IntArg(0) - IntArg(1));
-    case OpKind::Neg:
-      return Value::mkInt(-IntArg(0));
-    case OpKind::Mul:
-      return Value::mkInt(IntArg(0) * IntArg(1));
-    case OpKind::Div:
-      return Value::mkInt(euclidDiv(IntArg(0), IntArg(1)));
-    case OpKind::Mod:
-      return Value::mkInt(euclidMod(IntArg(0), IntArg(1)));
-    case OpKind::Min:
-      return Value::mkInt(std::min(IntArg(0), IntArg(1)));
-    case OpKind::Max:
-      return Value::mkInt(std::max(IntArg(0), IntArg(1)));
-    case OpKind::Abs:
-      return Value::mkInt(std::abs(IntArg(0)));
-    case OpKind::Lt:
-      return Value::mkBool(IntArg(0) < IntArg(1));
-    case OpKind::Le:
-      return Value::mkBool(IntArg(0) <= IntArg(1));
-    case OpKind::Gt:
-      return Value::mkBool(IntArg(0) > IntArg(1));
-    case OpKind::Ge:
-      return Value::mkBool(IntArg(0) >= IntArg(1));
     case OpKind::Eq:
       return Value::mkBool(valueEquals(evalScalarTerm(T->getArg(0), E),
                                        evalScalarTerm(T->getArg(1), E)));
@@ -97,8 +71,13 @@ ValuePtr se2gis::evalScalarTerm(const TermPtr &T, const Env &E) {
     case OpKind::Implies:
       return Value::mkBool(!evalScalarTerm(T->getArg(0), E)->getBool() ||
                            evalScalarTerm(T->getArg(1), E)->getBool());
-    default:
-      fatalError("unhandled operator in scalar evaluation");
+    default: {
+      long long A = evalScalarTerm(T->getArg(0), E)->getInt();
+      long long B =
+          T->numArgs() > 1 ? evalScalarTerm(T->getArg(1), E)->getInt() : 0;
+      long long R = evalIntOp(Op, A, B);
+      return isIntComparison(Op) ? Value::mkBool(R != 0) : Value::mkInt(R);
+    }
     }
   }
   default:
@@ -113,19 +92,15 @@ Enumerator::Enumerator(const GrammarConfig &Config, std::vector<TermPtr> Leaves)
 
 namespace {
 
-/// A pool entry: a deduplicated candidate term.
-struct Candidate {
-  TermPtr T;
-};
+constexpr std::uint64_t SignatureSeed = 1469598103934665603ULL;
 
 /// 64-bit observational-equivalence signature: the combined hash of the
-/// term's outputs on every example. Replaces the old string signature
-/// ("v1|v2|...|"), which allocated on every candidate in the hottest loop;
-/// candidate-vs-target matches are confirmed with \c valueEquals, so a
-/// hash collision can only over-prune, never produce a wrong solution.
+/// term's outputs on every example, by tree walk. The search computes the
+/// same number from a candidate's value vector (\c Search::rowSignature);
+/// this form is its oracle under SE2GIS_CHECK_SIGNATURES.
 std::uint64_t signatureHashOf(const TermPtr &T,
                               const std::vector<PbeExample> &Examples) {
-  std::uint64_t H = 1469598103934665603ULL;
+  std::uint64_t H = SignatureSeed;
   for (const PbeExample &Ex : Examples)
     H = hashCombine(H, valueHash(evalScalarTerm(T, Ex.Inputs)));
   return H;
@@ -141,8 +116,9 @@ std::string signatureStringOf(const TermPtr &T,
   return OS.str();
 }
 
-/// SE2GIS_CHECK_SIGNATURES=1 cross-checks every hash signature against the
-/// string form and aborts on a collision (distinct strings, equal hash).
+/// SE2GIS_CHECK_SIGNATURES=1 builds every candidate's term and aborts when
+/// its tree-walk signature differs from the value-vector one, or on a
+/// collision (distinct string signatures, equal hash).
 bool checkSignaturesEnabled() {
   static const bool Enabled = [] {
     const char *E = std::getenv("SE2GIS_CHECK_SIGNATURES");
@@ -150,6 +126,332 @@ bool checkSignaturesEnabled() {
   }();
   return Enabled;
 }
+
+/// A pool entry: an operator over earlier entries, or an atom (a constant,
+/// boolean literal or leaf; Kids[0] indexes the atom table). Operands of
+/// arithmetic and comparisons are Int-pool ids; those of Not/And/Or are
+/// Bool-pool ids; an Ite takes a Bool condition and two Int branches. The
+/// entry's outputs are row `id` of its pool's value arena.
+struct Node {
+  OpKind Op;
+  bool Atom;
+  std::uint32_t Kids[3];
+};
+
+/// The deduplicated candidates of one sort.
+struct Pool {
+  explicit Pool(bool IsBool, int MaxSize)
+      : IsBool(IsBool), Start(std::max(MaxSize, 1) + 2, 0) {
+    Seen.reserve(1024);
+  }
+
+  /// The ids of the entries of size \p S (complete once size S is done).
+  auto ids(int S) const { return std::views::iota(Start[S], Start[S + 1]); }
+
+  bool IsBool;
+  std::vector<Node> Nodes;
+  /// Outputs, one row of #examples values per node (Bool as 0/1).
+  std::vector<long long> Values;
+  /// Start[S] is the first id of size S.
+  std::vector<std::uint32_t> Start;
+  std::unordered_set<std::uint64_t> Seen;
+  /// Debug collision oracle: hash -> string signature.
+  std::unordered_map<std::uint64_t, std::string> Oracle;
+};
+
+/// One bottom-up search. A candidate is evaluated once over all examples,
+/// elementwise from its operands' value rows, into a scratch row; only a
+/// candidate that survives observational-equivalence pruning is stored (as
+/// a Node and a value row), and a term is built only for the winner.
+class Search {
+public:
+  Search(const GrammarConfig &Config, const std::vector<TermPtr> &Leaves,
+         const TypePtr &OutTy, const std::vector<PbeExample> &Examples,
+         int MaxSize, const Deadline &Budget)
+      : Config(Config), Leaves(Leaves), Examples(Examples), MaxSize(MaxSize),
+        Budget(Budget), N(Examples.size()), Scratch(N), Int(false, MaxSize),
+        Bool(true, MaxSize), Want(OutTy->isInt() ? &Int : &Bool),
+        CheckSignatures(checkSignaturesEnabled()) {
+    for (const PbeExample &Ex : Examples) {
+      Target = hashCombine(Target, valueHash(Ex.Output));
+      if (Want->IsBool ? !Ex.Output->isBool() : !Ex.Output->isInt())
+        TargetFits = false;
+      else
+        TargetRow.push_back(Want->IsBool ? Ex.Output->getBool()
+                                         : Ex.Output->getInt());
+    }
+  }
+
+  Search(const Search &) = delete;
+  Search &operator=(const Search &) = delete;
+
+  /// Adds the totals once per search rather than two atomics per candidate.
+  ~Search() {
+    if (Candidates) {
+      countEvent(CounterKind::PbeCandidates, Candidates);
+      perfAdd(PerfCounter::EnumCandidates, Candidates);
+    }
+    if (Pruned)
+      perfAdd(PerfCounter::EnumPruned, Pruned);
+  }
+
+  std::optional<TermPtr> run() {
+    if (!enumerateAtoms())
+      for (int Size = 2; Size <= MaxSize; ++Size) {
+        if (Budget.expired())
+          return std::nullopt;
+        Int.Start[Size] = static_cast<std::uint32_t>(Int.Nodes.size());
+        Bool.Start[Size] = static_cast<std::uint32_t>(Bool.Nodes.size());
+        if (enumerateSize(Size))
+          break;
+      }
+    if (Winner)
+      return termOf(*Winner);
+    return std::nullopt;
+  }
+
+private:
+  /// Offers the candidate whose outputs are in Scratch (\p Bound false: a
+  /// leaf unbound under some example, counted but neither pruned nor
+  /// pooled). \returns true when the search stops: found or out of time.
+  bool offer(Pool &P, const Node &Nd, bool Bound = true) {
+    if (Winner || Expired)
+      return true;
+    // Deadline polling is decimated: one clock read per PollGate stride of
+    // candidates, so cancellation latency stays bounded without taxing the
+    // hottest loop in the solver.
+    if (Gate.tick(Budget)) {
+      Expired = true;
+      return true;
+    }
+    ++Candidates;
+    if (!Bound)
+      return false;
+    std::uint64_t Sig = rowSignature(P.IsBool);
+    if (CheckSignatures)
+      checkSignature(P, Nd, Sig);
+    if (!P.Seen.insert(Sig).second) {
+      ++Pruned;
+      return false;
+    }
+    // A hash match against the target is confirmed value-by-value, so a
+    // collision cannot yield an incorrect solution.
+    if (&P == Want && Sig == Target && TargetFits &&
+        std::equal(Scratch.begin(), Scratch.end(), TargetRow.begin())) {
+      Winner = Nd;
+      return true;
+    }
+    assert(P.Nodes.size() < UINT32_MAX && "pool ids are 32-bit");
+    P.Nodes.push_back(Nd);
+    P.Values.insert(P.Values.end(), Scratch.begin(), Scratch.end());
+    return false;
+  }
+
+  /// The signature of the Scratch row: exactly \c signatureHashOf.
+  std::uint64_t rowSignature(bool IsBool) const {
+    std::uint64_t H = SignatureSeed;
+    if (IsBool)
+      for (long long V : Scratch)
+        H = hashCombine(H, boolValueHash(V != 0));
+    else
+      for (long long V : Scratch)
+        H = hashCombine(H, intValueHash(V));
+    return H;
+  }
+
+  void checkSignature(Pool &P, const Node &Nd, std::uint64_t Sig) {
+    TermPtr T = termOf(Nd);
+    if (signatureHashOf(T, Examples) != Sig)
+      fatalError("value-vector signature differs from the tree walk's for " +
+                 T->str());
+    std::string Str = signatureStringOf(T, Examples);
+    auto [It, Fresh] = P.Oracle.emplace(Sig, Str);
+    if (!Fresh && It->second != Str)
+      fatalError("observational-equivalence hash collision: \"" + It->second +
+                 "\" vs \"" + Str + "\"");
+  }
+
+  const long long *row(const Pool &P, std::uint32_t Id) const {
+    return P.Values.data() + static_cast<size_t>(Id) * N;
+  }
+
+  /// Offers an atom whose outputs are in Scratch.
+  bool offerAtom(Pool &P, TermPtr T, bool Bound = true) {
+    auto Id = static_cast<std::uint32_t>(Atoms.size());
+    Node Nd{OpKind::Add, true, {Id, 0, 0}};
+    Atoms.push_back(std::move(T));
+    return offer(P, Nd, Bound);
+  }
+
+  /// Size 1: constants, boolean literals, and leaves.
+  bool enumerateAtoms() {
+    for (long long C : Config.Constants) {
+      std::fill(Scratch.begin(), Scratch.end(), C);
+      if (offerAtom(Int, mkIntLit(C)))
+        return true;
+    }
+    for (bool B : {false, true}) {
+      std::fill(Scratch.begin(), Scratch.end(), B);
+      if (offerAtom(Bool, mkBoolLit(B)))
+        return true;
+    }
+    for (const TermPtr &L : Leaves) {
+      bool IsInt = L->getType()->isInt();
+      if (!IsInt && !L->getType()->isBool())
+        continue;
+      bool Bound = true;
+      try {
+        for (size_t I = 0; I < N; ++I) {
+          ValuePtr V = evalScalarTerm(L, Examples[I].Inputs);
+          Scratch[I] = IsInt ? V->getInt() : V->getBool();
+        }
+      } catch (const UserError &) {
+        Bound = false;
+      }
+      if (offerAtom(IsInt ? Int : Bool, L, Bound))
+        return true;
+    }
+    return false;
+  }
+
+  /// Offers `Op A B` (`Op A` for Neg/Abs) over Int-pool operands.
+  template <OpKind Op> bool offerInt(std::uint32_t A, std::uint32_t B) {
+    const long long *X = row(Int, A), *Y = row(Int, B);
+    for (size_t I = 0; I < N; ++I)
+      Scratch[I] = evalIntOp(Op, X[I], Y[I]);
+    return offer(isIntComparison(Op) ? Bool : Int, Node{Op, false, {A, B, 0}});
+  }
+
+  /// Offers `Op A B` (`not A` for Not) over Bool-pool operands.
+  template <OpKind Op> bool offerBool(std::uint32_t A, std::uint32_t B) {
+    const long long *X = row(Bool, A), *Y = row(Bool, B);
+    for (size_t I = 0; I < N; ++I)
+      Scratch[I] = Op == OpKind::Not   ? !X[I]
+                   : Op == OpKind::And ? X[I] && Y[I]
+                                       : X[I] || Y[I];
+    return offer(Bool, Node{Op, false, {A, B, 0}});
+  }
+
+  bool offerIte(std::uint32_t C, std::uint32_t A, std::uint32_t B) {
+    const long long *X = row(Bool, C), *Y = row(Int, A), *Z = row(Int, B);
+    for (size_t I = 0; I < N; ++I)
+      Scratch[I] = X[I] ? Y[I] : Z[I];
+    return offer(Int, Node{OpKind::Ite, false, {C, A, B}});
+  }
+
+  /// The value of Int-pool entry \p Id if it is an integer literal atom.
+  std::optional<long long> literalOf(std::uint32_t Id) const {
+    const Node &Nd = Int.Nodes[Id];
+    if (Nd.Atom && Atoms[Nd.Kids[0]]->getKind() == TermKind::IntLit)
+      return Atoms[Nd.Kids[0]]->getIntValue();
+    return std::nullopt;
+  }
+
+  /// The binary operators over two Int-pool entries, in grammar order.
+  bool offerIntPair(std::uint32_t A, std::uint32_t B) {
+    if (offerInt<OpKind::Add>(A, B) || offerInt<OpKind::Sub>(A, B))
+      return true;
+    if (Config.AllowMinMax &&
+        (offerInt<OpKind::Min>(A, B) || offerInt<OpKind::Max>(A, B)))
+      return true;
+    // The Appendix-B.4 grammar only multiplies by constants, but references
+    // like weighted sums need general products; allow them whenever
+    // multiplication appears in the specification.
+    if (Config.AllowMul && offerInt<OpKind::Mul>(A, B))
+      return true;
+    if (Config.AllowDiv || Config.AllowMod) {
+      std::optional<long long> Lit = literalOf(B);
+      if (Config.AllowDiv && Lit && *Lit != 0 && offerInt<OpKind::Div>(A, B))
+        return true;
+      if (Config.AllowMod && Lit && *Lit > 1 && offerInt<OpKind::Mod>(A, B))
+        return true;
+    }
+    // Comparisons (feed the boolean pool).
+    return offerInt<OpKind::Gt>(A, B) || offerInt<OpKind::Le>(A, B) ||
+           offerInt<OpKind::Eq>(A, B);
+  }
+
+  /// Every candidate of size \p Size >= 2. \returns true when it stops.
+  bool enumerateSize(int Size) {
+    // Unary operators.
+    for (std::uint32_t A : Int.ids(Size - 1)) {
+      if (offerInt<OpKind::Neg>(A, A))
+        return true;
+      if (Config.AllowAbs && offerInt<OpKind::Abs>(A, A))
+        return true;
+    }
+    for (std::uint32_t A : Bool.ids(Size - 1))
+      if (offerBool<OpKind::Not>(A, A))
+        return true;
+
+    // Binary operators (left size + right size = Size - 1).
+    for (int LS = 1; LS + 1 < Size; ++LS) {
+      int RS = Size - 1 - LS;
+      for (std::uint32_t A : Int.ids(LS))
+        for (std::uint32_t B : Int.ids(RS))
+          if (offerIntPair(A, B))
+            return true;
+      for (std::uint32_t A : Bool.ids(LS))
+        for (std::uint32_t B : Bool.ids(RS))
+          if (offerBool<OpKind::And>(A, B) || offerBool<OpKind::Or>(A, B))
+            return true;
+    }
+
+    // Conditionals: cond + then + else = Size - 1.
+    if (Config.AllowIte)
+      for (int CS = 1; CS + 2 < Size; ++CS)
+        for (int TS = 1; CS + TS + 1 < Size; ++TS) {
+          int ES = Size - 1 - CS - TS;
+          for (std::uint32_t C : Bool.ids(CS))
+            for (std::uint32_t A : Int.ids(TS))
+              for (std::uint32_t B : Int.ids(ES))
+                if (offerIte(C, A, B))
+                  return true;
+        }
+    return false;
+  }
+
+  /// Builds the term of \p Nd from the pools.
+  TermPtr termOf(const Node &Nd) const {
+    if (Nd.Atom)
+      return Atoms[Nd.Kids[0]];
+    auto IntKid = [&](int K) { return termOf(Int.Nodes[Nd.Kids[K]]); };
+    auto BoolKid = [&](int K) { return termOf(Bool.Nodes[Nd.Kids[K]]); };
+    switch (Nd.Op) {
+    case OpKind::Neg:
+    case OpKind::Abs:
+      return mkOp(Nd.Op, {IntKid(0)});
+    case OpKind::Not:
+      return mkOp(Nd.Op, {BoolKid(0)});
+    case OpKind::And:
+    case OpKind::Or:
+      return mkOp(Nd.Op, {BoolKid(0), BoolKid(1)});
+    case OpKind::Ite:
+      return mkOp(Nd.Op, {BoolKid(0), IntKid(1), IntKid(2)});
+    default:
+      return mkOp(Nd.Op, {IntKid(0), IntKid(1)});
+    }
+  }
+
+  const GrammarConfig &Config;
+  const std::vector<TermPtr> &Leaves;
+  const std::vector<PbeExample> &Examples;
+  int MaxSize;
+  const Deadline &Budget;
+  size_t N;
+  std::vector<long long> Scratch;
+  std::vector<TermPtr> Atoms;
+  Pool Int, Bool;
+  const Pool *Want;
+  std::uint64_t Target = SignatureSeed;
+  std::vector<long long> TargetRow;
+  bool TargetFits = true;
+  bool CheckSignatures;
+  PollGate Gate;
+  bool Expired = false;
+  std::optional<Node> Winner;
+  std::uint64_t Candidates = 0, Pruned = 0;
+};
 
 } // namespace
 
@@ -266,188 +568,5 @@ std::optional<TermPtr>
 Enumerator::enumerateScalar(const TypePtr &OutTy,
                             const std::vector<PbeExample> &Examples,
                             int MaxSize, const Deadline &Budget) {
-  bool WantInt = OutTy->isInt();
-
-  std::uint64_t Target = 1469598103934665603ULL;
-  for (const PbeExample &Ex : Examples)
-    Target = hashCombine(Target, valueHash(Ex.Output));
-
-  // Size-indexed pools (index 0 unused).
-  std::vector<std::vector<Candidate>> IntPool(MaxSize + 1);
-  std::vector<std::vector<Candidate>> BoolPool(MaxSize + 1);
-  std::unordered_set<std::uint64_t> SeenInt, SeenBool;
-  SeenInt.reserve(1024);
-  SeenBool.reserve(1024);
-  // Debug collision oracle: hash -> string signature (per type pool).
-  std::unordered_map<std::uint64_t, std::string> OracleInt, OracleBool;
-  std::optional<TermPtr> Found;
-
-  // A hash match against the target is confirmed value-by-value, so a
-  // collision cannot yield an incorrect solution.
-  auto MatchesTarget = [&](const TermPtr &T) {
-    for (const PbeExample &Ex : Examples)
-      if (!valueEquals(evalScalarTerm(T, Ex.Inputs), Ex.Output))
-        return false;
-    return true;
-  };
-
-  // Deadline polling is decimated: one clock read per PollGate stride of
-  // candidates, so cancellation latency stays bounded without taxing the
-  // hottest loop in the solver.
-  PollGate Gate;
-  bool Expired = false;
-
-  auto Consider = [&](TermPtr T, int Size) -> bool {
-    if (Found || Expired)
-      return true;
-    if (Gate.tick(Budget)) {
-      Expired = true;
-      return true;
-    }
-    countEvent(CounterKind::PbeCandidates);
-    perfAdd(PerfCounter::EnumCandidates);
-    bool IsInt = T->getType()->isInt();
-    std::uint64_t Sig;
-    try {
-      Sig = signatureHashOf(T, Examples);
-    } catch (const UserError &) {
-      return false; // unbound leaf for these examples; skip
-    }
-    if (checkSignaturesEnabled()) {
-      auto &Oracle = IsInt ? OracleInt : OracleBool;
-      std::string Str = signatureStringOf(T, Examples);
-      auto [It, Fresh] = Oracle.emplace(Sig, Str);
-      if (!Fresh && It->second != Str)
-        fatalError("observational-equivalence hash collision: \"" +
-                   It->second + "\" vs \"" + Str + "\"");
-    }
-    auto &Seen = IsInt ? SeenInt : SeenBool;
-    if (!Seen.insert(Sig).second) {
-      perfAdd(PerfCounter::EnumPruned);
-      return false;
-    }
-    if (IsInt == WantInt && Sig == Target && MatchesTarget(T)) {
-      Found = std::move(T);
-      return true;
-    }
-    auto &Pool = IsInt ? IntPool : BoolPool;
-    Pool[Size].push_back(Candidate{std::move(T)});
-    return false;
-  };
-
-  // Size 1: constants, boolean literals, and leaves.
-  for (long long C : Config.Constants)
-    if (Consider(mkIntLit(C), 1))
-      return Found;
-  for (bool B : {false, true})
-    if (Consider(mkBoolLit(B), 1))
-      return Found;
-  for (const TermPtr &L : Leaves)
-    if (L->getType()->isInt() || L->getType()->isBool())
-      if (Consider(L, 1))
-        return Found;
-
-  auto ForPool = [&](std::vector<std::vector<Candidate>> &Pool, int Size,
-                     auto Fn) {
-    for (const Candidate &C : Pool[Size])
-      if (Fn(C))
-        return true;
-    return false;
-  };
-
-  for (int Size = 2; Size <= MaxSize; ++Size) {
-    if (Budget.expired())
-      return std::nullopt;
-
-    // Unary integer operators.
-    [[maybe_unused]] bool Stop = ForPool(IntPool, Size - 1, [&](const Candidate &A) {
-      if (Consider(mkOp(OpKind::Neg, {A.T}), Size))
-        return true;
-      if (Config.AllowAbs && Consider(mkOp(OpKind::Abs, {A.T}), Size))
-        return true;
-      return false;
-    });
-    if (Found || Expired)
-      return Found;
-
-    // Unary boolean.
-    ForPool(BoolPool, Size - 1, [&](const Candidate &A) {
-      return Consider(mkNot(A.T), Size);
-    });
-    if (Found || Expired)
-      return Found;
-
-    // Binary operators (left size + right size = Size - 1).
-    for (int LS = 1; LS + 1 < Size; ++LS) {
-      int RS = Size - 1 - LS;
-      ForPool(IntPool, LS, [&](const Candidate &A) {
-        return ForPool(IntPool, RS, [&](const Candidate &B) {
-          if (Consider(mkAdd(A.T, B.T), Size))
-            return true;
-          if (Consider(mkSub(A.T, B.T), Size))
-            return true;
-          if (Config.AllowMinMax) {
-            if (Consider(mkOp(OpKind::Min, {A.T, B.T}), Size))
-              return true;
-            if (Consider(mkOp(OpKind::Max, {A.T, B.T}), Size))
-              return true;
-          }
-          // The Appendix-B.4 grammar only multiplies by constants, but
-          // references like weighted sums need general products; allow them
-          // whenever multiplication appears in the specification.
-          if (Config.AllowMul)
-            if (Consider(mkOp(OpKind::Mul, {A.T, B.T}), Size))
-              return true;
-          if (Config.AllowDiv && B.T->getKind() == TermKind::IntLit &&
-              B.T->getIntValue() != 0)
-            if (Consider(mkOp(OpKind::Div, {A.T, B.T}), Size))
-              return true;
-          if (Config.AllowMod && B.T->getKind() == TermKind::IntLit &&
-              B.T->getIntValue() > 1)
-            if (Consider(mkOp(OpKind::Mod, {A.T, B.T}), Size))
-              return true;
-          // Comparisons (feed the boolean pool).
-          if (Consider(mkOp(OpKind::Gt, {A.T, B.T}), Size))
-            return true;
-          if (Consider(mkOp(OpKind::Le, {A.T, B.T}), Size))
-            return true;
-          if (Consider(mkEq(A.T, B.T), Size))
-            return true;
-          return false;
-        });
-      });
-      if (Found || Expired)
-        return Found;
-      ForPool(BoolPool, LS, [&](const Candidate &A) {
-        return ForPool(BoolPool, RS, [&](const Candidate &B) {
-          if (Consider(mkAndList({A.T, B.T}), Size))
-            return true;
-          if (Consider(mkOrList({A.T, B.T}), Size))
-            return true;
-          return false;
-        });
-      });
-      if (Found || Expired)
-        return Found;
-    }
-
-    // Conditionals: cond + then + else = Size - 1.
-    if (Config.AllowIte) {
-      for (int CS = 1; CS + 2 < Size; ++CS) {
-        for (int TS = 1; CS + TS + 1 < Size; ++TS) {
-          int ES = Size - 1 - CS - TS;
-          ForPool(BoolPool, CS, [&](const Candidate &C) {
-            return ForPool(IntPool, TS, [&](const Candidate &A) {
-              return ForPool(IntPool, ES, [&](const Candidate &B) {
-                return Consider(mkIte(C.T, A.T, B.T), Size);
-              });
-            });
-          });
-          if (Found || Expired)
-            return Found;
-        }
-      }
-    }
-  }
-  return std::nullopt;
+  return Search(Config, Leaves, OutTy, Examples, MaxSize, Budget).run();
 }

@@ -2,7 +2,7 @@
 
 #include "synth/Enumerator.h"
 
-#include "ast/Simplify.h"
+#include "ast/ScalarOps.h"
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,7 @@
 //===- SimplifyTest.cpp - Unit tests for the simplifier -------------------===//
 
 #include "ast/Simplify.h"
+#include "ast/ScalarOps.h"
 
 #include <gtest/gtest.h>
 

@@ -3,7 +3,7 @@
 #include "smt/BoundedCheck.h"
 #include "smt/Induction.h"
 #include "smt/Solver.h"
-#include "ast/Simplify.h"
+#include "ast/ScalarOps.h"
 
 #include "eval/Interp.h"
 #include "frontend/Elaborate.h"
