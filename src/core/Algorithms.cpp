@@ -176,7 +176,6 @@ Outcome se2gis::runSE2GIS(const Problem &P, const AlgoOptions &Opts) {
   // across runs would make a benchmark's trajectory depend on sweep order
   // (and diverge from a standalone CLI run of the same problem).
   resetThreadSmtSession();
-  CounterSnapshot Before = snapshotCounters();
   PerfSnapshot PerfBefore = snapshotPerf();
   PhaseSnapshot PhaseBefore = phaseSnapshot();
   Outcome Result;
@@ -369,7 +368,6 @@ Outcome se2gis::runSE2GIS(const Problem &P, const AlgoOptions &Opts) {
         Result.Stats.ImageInvariants + Result.Stats.DatatypeInvariants);
   }
   Result.Stats.ElapsedMs = Timer.elapsedMs();
-  Result.Stats.Counters = snapshotCounters().since(Before);
   Result.Stats.Perf = snapshotPerf().since(PerfBefore);
   Result.Stats.Phases = phaseSnapshot().since(PhaseBefore);
   return Result;
@@ -389,7 +387,6 @@ Outcome se2gis::runSEGIS(const Problem &P, const AlgoOptions &Opts,
   // across runs would make a benchmark's trajectory depend on sweep order
   // (and diverge from a standalone CLI run of the same problem).
   resetThreadSmtSession();
-  CounterSnapshot Before = snapshotCounters();
   PerfSnapshot PerfBefore = snapshotPerf();
   PhaseSnapshot PhaseBefore = phaseSnapshot();
   Outcome Result;
@@ -551,7 +548,6 @@ Outcome se2gis::runSEGIS(const Problem &P, const AlgoOptions &Opts,
     Result.Ev.Channel = WithUnrealizabilityChecker ? "SEGIS+UC" : "SEGIS";
   }
   Result.Stats.ElapsedMs = Timer.elapsedMs();
-  Result.Stats.Counters = snapshotCounters().since(Before);
   Result.Stats.Perf = snapshotPerf().since(PerfBefore);
   Result.Stats.Phases = phaseSnapshot().since(PhaseBefore);
   return Result;

@@ -20,7 +20,6 @@
 #include "core/Verify.h"
 #include "lang/Program.h"
 #include "support/Cancellation.h"
-#include "support/Counters.h"
 #include "support/PerfCounters.h"
 
 #include <cstdint>
@@ -145,8 +144,6 @@ struct RunStats {
   /// True when the final solution was proved by induction (fully verified).
   bool SolutionProvedInductive = false;
   double ElapsedMs = 0;
-  /// Telemetry deltas for this run (support/Counters.h).
-  CounterSnapshot Counters;
   /// Performance deltas for this run (support/PerfCounters.h). Under a
   /// parallel sweep the process-wide counters aggregate across workers, so
   /// a run's delta includes events of concurrently running jobs; the

@@ -3,8 +3,8 @@
 #include "core/Witness.h"
 
 #include "ast/Simplify.h"
-#include "support/Counters.h"
 #include "support/Diagnostics.h"
+#include "support/PerfCounters.h"
 
 #include <cassert>
 
@@ -127,7 +127,7 @@ se2gis::findFunctionalWitness(const Sge &System, int PerQueryTimeoutMs,
         Q->add(mkEq(Frames[I].Args[K],
                     substitute(Frames[J].Args[K], Rename)));
 
-      countEvent(CounterKind::WitnessQueries);
+      perfAdd(PerfCounter::WitnessQueries);
       SmtModel Model;
       bool IsSat = Q->checkSat(PerQueryTimeoutMs, &Model) == SmtResult::Sat;
       // Model readback is frame-scoped, so popping here (before the

@@ -3,7 +3,6 @@
 #include "eval/SymbolicEval.h"
 
 #include "ast/Simplify.h"
-#include "support/Counters.h"
 #include "support/Diagnostics.h"
 #include "support/PerfCounters.h"
 
@@ -113,7 +112,7 @@ TermPtr SymbolicEvaluator::normCall(const TermPtr &CallNode) {
   if (!R)
     userError("no rule for constructor '" + Matched->getCtor()->Name +
               "' in '" + CallNode->getCallee() + "'");
-  countEvent(CounterKind::SymbolicUnfoldings);
+  perfAdd(PerfCounter::SymbolicUnfoldings);
 
   Substitution Map;
   for (size_t I = 0; I < F->getParams().size(); ++I)

@@ -321,11 +321,11 @@ void se2gis::writeSuitePerfJson(std::ostream &OS,
        << ", \"elapsed_ms\": " << R.Result.Stats.ElapsedMs
        << ", \"evidence\": \"" << verdictSourceName(R.Result.Ev.Source)
        << "\", \"channel\": \"" << R.Result.Ev.Channel
-       << "\", \"phase_ms\": {\"eval\": " << R.Result.Stats.Phases.getMs(Phase::Eval)
-       << ", \"smt\": " << R.Result.Stats.Phases.getMs(Phase::Smt)
-       << ", \"enum\": " << R.Result.Stats.Phases.getMs(Phase::Enum)
-       << ", \"induction\": "
-       << R.Result.Stats.Phases.getMs(Phase::Induction) << "}}";
+       << "\", \"phase_ms\": {";
+    for (size_t P = 0; P < static_cast<size_t>(Phase::NumPhases); ++P)
+      OS << (P ? ", \"" : "\"") << phaseName(static_cast<Phase>(P))
+         << "\": " << R.Result.Stats.Phases.getMs(static_cast<Phase>(P));
+    OS << "}}";
   }
   OS << "\n  ]\n}\n";
 }

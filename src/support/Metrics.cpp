@@ -136,27 +136,16 @@ void se2gis::writeProcessMetrics(PrometheusWriter &W,
     W.counter(std::string("se2gis_") + perfCounterName(C) + "_total",
               perfCounterHelp(C), static_cast<double>(Snap.get(C)));
   }
-  W.counter("se2gis_z3_time_seconds_total",
-            "wall time inside z3::solver::check",
-            static_cast<double>(Snap.getNs(PerfTimer::Z3SolveNs)) / 1e9);
-  W.counter("se2gis_run_time_seconds_total",
-            "wall time inside runAlgorithm, summed over runs",
-            static_cast<double>(Snap.getNs(PerfTimer::SuiteRunNs)) / 1e9);
-  static const char *HistHelp[] = {
-      "latency of one SmtQuery::checkSat",
-      "Term-to-Z3 translation time per checkSat",
-      "latency of one PBE enumeration search",
-      "latency of one memoization-cache lookup",
-      "latency of one remote cache-tier round trip",
-  };
-  static_assert(sizeof(HistHelp) / sizeof(HistHelp[0]) ==
-                    static_cast<size_t>(PerfHistogram::NumPerfHistograms),
-                "HistHelp must cover every PerfHistogram");
+  for (size_t I = 0; I < static_cast<size_t>(PerfTimer::NumPerfTimers); ++I) {
+    auto T = static_cast<PerfTimer>(I);
+    W.counter(std::string("se2gis_") + perfTimerName(T) + "_seconds_total",
+              perfTimerHelp(T), static_cast<double>(Snap.getNs(T)) / 1e9);
+  }
   for (size_t I = 0;
        I < static_cast<size_t>(PerfHistogram::NumPerfHistograms); ++I) {
     auto H = static_cast<PerfHistogram>(I);
     W.histogram(std::string("se2gis_") + perfHistogramName(H) + "_seconds",
-                HistHelp[I], Snap.hist(H));
+                perfHistogramHelp(H), Snap.hist(H));
   }
   W.counter("se2gis_trace_dropped_events_total",
             "trace events dropped on full buffers",

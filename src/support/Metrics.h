@@ -10,8 +10,8 @@
 ///
 /// Naming scheme (see DESIGN.md "Operability model"):
 ///  - counters:   se2gis_<perf_json_key>_total        (e.g. se2gis_smt_queries_total)
-///  - timers:     se2gis_<name>_seconds_total         (e.g. se2gis_z3_time_seconds_total)
-///  - histograms: se2gis_<name>_seconds               (native histogram; le bounds
+///  - timers:     se2gis_<key>_seconds_total          (e.g. se2gis_z3_time_seconds_total)
+///  - histograms: se2gis_<key>_seconds                (native histogram; le bounds
 ///                are the log2 bucket upper bounds converted ns → s)
 ///  - gauges:     se2gis_<name>                       (e.g. se2gis_queue_depth)
 ///
@@ -76,10 +76,11 @@ private:
   std::vector<std::string> SeenFamilies;
 };
 
-/// Appends every process-wide telemetry family to \p W: all PerfCounters
-/// as `se2gis_*_total`, both PerfTimers as `se2gis_*_seconds_total`, the
-/// four latency histograms as `se2gis_*_seconds`, and the trace/flight
-/// bookkeeping counters. \p Snap should be a fresh \c snapshotPerf().
+/// Appends every process-wide telemetry family to \p W: each row of the
+/// tables in support/PerfCounters.h with its HELP text (counters as
+/// `se2gis_*_total`, timers as `se2gis_*_seconds_total`, latency histograms
+/// as `se2gis_*_seconds`), and the trace/flight bookkeeping counters.
+/// \p Snap should be a fresh \c snapshotPerf().
 void writeProcessMetrics(PrometheusWriter &W, const PerfSnapshot &Snap);
 
 /// Formats \p V with enough precision for exposition (integers render

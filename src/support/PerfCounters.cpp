@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <ostream>
-#include <sstream>
 
 using namespace se2gis;
 
@@ -31,81 +30,30 @@ LatencyHistogram &histogramSlot(PerfHistogram H) {
   return Slots[static_cast<size_t>(H)];
 }
 
-/// One row per counter, in enum order: the stable JSON/metrics name plus
-/// its HELP text. Kept in a table (rather than a switch) so iterating all
-/// counters for exposition is a plain loop.
-struct CounterMeta {
-  const char *Name;
-  const char *Help;
-};
-
-constexpr CounterMeta GCounterMeta[static_cast<size_t>(
-    PerfCounter::NumPerfCounters)] = {
-    {"smt_queries", "checkSat calls issued"},
-    {"smt_sat", "checkSat calls that came back satisfiable"},
-    {"smt_unsat", "checkSat calls that came back unsatisfiable"},
-    {"smt_unknown", "checkSat calls where Z3 gave up"},
-    {"smt_budget_expired", "checkSat calls skipped or abandoned on deadline"},
-    {"smt_session_reuse", "queries served by a warm incremental session"},
-    {"smt_session_fresh", "queries that built a fresh Z3 context"},
-    {"smt_push", "solver push operations"},
-    {"smt_pop", "solver pop operations"},
-    {"enum_candidates", "grammar terms generated by the PBE enumerator"},
-    {"enum_pruned", "candidates discarded as observationally equivalent"},
-    {"cache_smt_hits", "SMT query cache hits"},
-    {"cache_smt_misses", "SMT query cache misses"},
-    {"cache_smt_inserts", "SMT query cache insertions"},
-    {"cache_smt_evictions", "SMT query cache FIFO evictions"},
-    {"cache_pbe_hits", "PBE enumeration memo hits"},
-    {"cache_pbe_misses", "PBE enumeration memo misses"},
-    {"cache_sge_hits", "SGE solution cache hits"},
-    {"cache_sge_misses", "SGE solution cache misses"},
-    {"cache_suite_hits", "suite-level warm-start hits"},
-    {"cache_suite_misses", "suite-level warm-start misses"},
-    {"cache_bytes_written", "bytes appended to the persistent store"},
-    {"cache_bytes_loaded", "bytes read back from the persistent store"},
-    {"cache_remote_hits", "remote cache-tier probes that returned a payload"},
-    {"cache_remote_misses", "remote cache-tier probes with no entry"},
-    {"cache_remote_errors",
-     "remote probes/puts lost to transport or protocol failure"},
-    {"cache_remote_degraded",
-     "probes suppressed while the circuit breaker is open"},
-    {"chc_queries", "fixedpoint queries issued by the CHC channel"},
-    {"chc_unsat", "CHC queries proving realizable underivable"},
-    {"chc_derivable", "CHC queries where the instantiation was derivable"},
-    {"chc_unknown", "CHC queries where the engine gave up"},
-    {"chc_clauses", "Horn clauses asserted across CHC encodings"},
-    {"chc_race_wins", "races won by the CHC channel"},
-    {"chc_skipped_nonscalar", "CHC encodings skipped on non-scalar signature"},
-    {"chc_skipped_equations", "bounded-term equations the encoder dropped"},
-    {"gen_cases", "generator cases accepted through the frontend"},
-    {"gen_rejected", "generator attempts rejected and resampled"},
-    {"gen_shrink_attempts", "shrink candidates evaluated"},
-    {"gen_shrink_accepted", "shrink candidates committed"},
-};
-
-constexpr const char *GHistName[static_cast<size_t>(
-    PerfHistogram::NumPerfHistograms)] = {
-    "smt_check",
-    "smt_translate",
-    "enum_round",
-    "cache_probe",
-    "cache_remote_probe",
-};
-
 } // namespace
 
-const char *se2gis::perfCounterName(PerfCounter C) {
-  return GCounterMeta[static_cast<size_t>(C)].Name;
-}
-
-const char *se2gis::perfCounterHelp(PerfCounter C) {
-  return GCounterMeta[static_cast<size_t>(C)].Help;
-}
-
-const char *se2gis::perfHistogramName(PerfHistogram H) {
-  return GHistName[static_cast<size_t>(H)];
-}
+// The name and HELP lookups, one pair per table.
+#define SE2GIS_TELEMETRY_KEY(Enumerator, Key, Help) Key,
+#define SE2GIS_TELEMETRY_HELP(Enumerator, Key, Help) Help,
+#define SE2GIS_TELEMETRY_LOOKUPS(Enum, Table, NameFn, HelpFn)                   \
+  const char *se2gis::NameFn(Enum E) {                                         \
+    static constexpr const char *Keys[] = {Table(SE2GIS_TELEMETRY_KEY)};       \
+    return Keys[static_cast<size_t>(E)];                                       \
+  }                                                                            \
+  const char *se2gis::HelpFn(Enum E) {                                         \
+    static constexpr const char *Helps[] = {Table(SE2GIS_TELEMETRY_HELP)};     \
+    return Helps[static_cast<size_t>(E)];                                      \
+  }
+SE2GIS_TELEMETRY_LOOKUPS(PerfCounter, SE2GIS_PERF_COUNTERS, perfCounterName,
+                         perfCounterHelp)
+SE2GIS_TELEMETRY_LOOKUPS(PerfTimer, SE2GIS_PERF_TIMERS, perfTimerName,
+                         perfTimerHelp)
+SE2GIS_TELEMETRY_LOOKUPS(PerfHistogram, SE2GIS_PERF_HISTOGRAMS,
+                         perfHistogramName, perfHistogramHelp)
+SE2GIS_TELEMETRY_LOOKUPS(Phase, SE2GIS_PHASES, phaseName, phaseHelp)
+#undef SE2GIS_TELEMETRY_LOOKUPS
+#undef SE2GIS_TELEMETRY_HELP
+#undef SE2GIS_TELEMETRY_KEY
 
 void se2gis::perfAdd(PerfCounter C, std::uint64_t Delta) {
   counterSlot(C).fetch_add(Delta, std::memory_order_relaxed);
@@ -148,29 +96,14 @@ PerfSnapshot PerfSnapshot::since(const PerfSnapshot &Earlier) const {
 }
 
 std::string PerfSnapshot::str() const {
-  std::ostringstream OS;
-  OS << "smt=" << get(PerfCounter::SmtQueries) << " (sat="
-     << get(PerfCounter::SmtSat) << " unsat=" << get(PerfCounter::SmtUnsat)
-     << " unknown=" << get(PerfCounter::SmtUnknown)
-     << " budget=" << get(PerfCounter::SmtBudget) << ") z3_ms=";
-  OS.precision(1);
-  OS << std::fixed << getMs(PerfTimer::Z3SolveNs)
-     << " enum=" << get(PerfCounter::EnumCandidates)
-     << " pruned=" << get(PerfCounter::EnumPruned);
-  if (std::uint64_t CacheTouches =
-          get(PerfCounter::CacheSmtHits) + get(PerfCounter::CacheSmtMisses))
-    OS << " cache_smt=" << get(PerfCounter::CacheSmtHits) << "/" << CacheTouches;
-  if (std::uint64_t Sessions = get(PerfCounter::SmtSessionReuse) +
-                               get(PerfCounter::SmtSessionFresh))
-    OS << " smt_sessions=" << get(PerfCounter::SmtSessionReuse) << "/"
-       << Sessions;
-  if (std::uint64_t ChcQ = get(PerfCounter::ChcQueries))
-    OS << " chc=" << ChcQ << " (unsat=" << get(PerfCounter::ChcUnsat)
-       << " wins=" << get(PerfCounter::ChcRaceWins) << ")";
-  if (const HistogramSnapshot &H = hist(PerfHistogram::SmtCheckNs); H.Count)
-    OS << " smt_p50_ms=" << H.quantileMs(0.5)
-       << " smt_p99_ms=" << H.quantileMs(0.99);
-  return OS.str();
+  std::string Out;
+  for (size_t I = 0; I < static_cast<size_t>(PerfCounter::NumPerfCounters);
+       ++I)
+    if (Counters[I])
+      Out += (Out.empty() ? "" : " ") +
+             std::string(perfCounterName(static_cast<PerfCounter>(I))) + "=" +
+             std::to_string(Counters[I]);
+  return Out;
 }
 
 namespace {
@@ -189,20 +122,15 @@ void writeHistJson(std::ostream &OS, const char *Prefix,
 } // namespace
 
 void se2gis::writePerfJson(std::ostream &OS, const PerfSnapshot &D) {
-  // Counter keys come from the shared name table (also the Prometheus
-  // family names); the historical key order interleaves the two timers
-  // between the smt_* and enum_* counter groups.
-  constexpr size_t FirstEnumIdx = static_cast<size_t>(PerfCounter::EnumCandidates);
   OS << "{";
-  for (size_t I = 0; I < FirstEnumIdx; ++I)
+  for (size_t I = 0; I < static_cast<size_t>(PerfCounter::NumPerfCounters);
+       ++I)
     OS << (I ? ",\"" : "\"") << perfCounterName(static_cast<PerfCounter>(I))
        << "\":" << D.Counters[I];
-  OS << ",\"z3_time_ms\":" << D.getMs(PerfTimer::Z3SolveNs)
-     << ",\"run_time_ms\":" << D.getMs(PerfTimer::SuiteRunNs);
-  for (size_t I = FirstEnumIdx;
-       I < static_cast<size_t>(PerfCounter::NumPerfCounters); ++I)
-    OS << ",\"" << perfCounterName(static_cast<PerfCounter>(I))
-       << "\":" << D.Counters[I];
+  for (size_t I = 0; I < static_cast<size_t>(PerfTimer::NumPerfTimers); ++I) {
+    auto T = static_cast<PerfTimer>(I);
+    OS << ",\"" << perfTimerName(T) << "_ms\":" << D.getMs(T);
+  }
   for (size_t I = 0;
        I < static_cast<size_t>(PerfHistogram::NumPerfHistograms); ++I)
     writeHistJson(OS, perfHistogramName(static_cast<PerfHistogram>(I)),
@@ -265,22 +193,6 @@ PhaseState &phaseState() {
 }
 
 } // namespace
-
-const char *se2gis::phaseName(Phase P) {
-  switch (P) {
-  case Phase::Eval:
-    return "eval";
-  case Phase::Smt:
-    return "smt";
-  case Phase::Enum:
-    return "enum";
-  case Phase::Induction:
-    return "induction";
-  case Phase::NumPhases:
-    break;
-  }
-  return "?";
-}
 
 PhaseSnapshot PhaseSnapshot::since(const PhaseSnapshot &Earlier) const {
   PhaseSnapshot D;

@@ -7,7 +7,6 @@
 #include "cache/Canonical.h"
 #include "cache/SgeSolutionCache.h"
 #include "cache/TermIO.h"
-#include "support/Counters.h"
 #include "support/Diagnostics.h"
 #include "support/PerfCounters.h"
 #include "support/Stopwatch.h"
@@ -187,10 +186,8 @@ public:
 
   /// Adds the totals once per search rather than two atomics per candidate.
   ~Search() {
-    if (Candidates) {
-      countEvent(CounterKind::PbeCandidates, Candidates);
+    if (Candidates)
       perfAdd(PerfCounter::EnumCandidates, Candidates);
-    }
     if (Pruned)
       perfAdd(PerfCounter::EnumPruned, Pruned);
   }

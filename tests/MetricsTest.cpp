@@ -25,8 +25,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -196,6 +198,134 @@ TEST(ProcessMetrics, CountersAreMonotonicAcrossScrapes) {
   EXPECT_GE(metricValue(W2.str(), "se2gis_cache_smt_hits_total"), 0);
   EXPECT_GE(metricValue(W2.str(), "se2gis_smt_check_seconds_count"), 1);
   EXPECT_GE(metricValue(W2.str(), "se2gis_flight_enabled"), 0);
+}
+
+namespace {
+
+/// One row of a telemetry table, read back through the generated lookups.
+struct RegistryRow {
+  std::string Key, Help;
+};
+
+template <typename Enum>
+std::vector<RegistryRow> registryRows(Enum End, const char *(*Name)(Enum),
+                                      const char *(*Help)(Enum)) {
+  std::vector<RegistryRow> Rows;
+  for (size_t I = 0; I < static_cast<size_t>(End); ++I)
+    Rows.push_back({Name(static_cast<Enum>(I)), Help(static_cast<Enum>(I))});
+  return Rows;
+}
+
+bool isSnakeCase(const std::string &S) {
+  if (S.empty() || !std::islower(static_cast<unsigned char>(S[0])) ||
+      S.back() == '_')
+    return false;
+  for (char C : S)
+    if (!std::islower(static_cast<unsigned char>(C)) &&
+        !std::isdigit(static_cast<unsigned char>(C)) && C != '_')
+      return false;
+  return true;
+}
+
+size_t countOf(const std::string &Body, const std::string &Needle) {
+  size_t N = 0;
+  for (size_t At = Body.find(Needle); At != std::string::npos;
+       At = Body.find(Needle, At + 1))
+    ++N;
+  return N;
+}
+
+} // namespace
+
+TEST(TelemetryRegistry, EveryRowHasAUniqueSnakeKeyAndHelp) {
+  std::vector<std::vector<RegistryRow>> Tables = {
+      registryRows(PerfCounter::NumPerfCounters, perfCounterName,
+                   perfCounterHelp),
+      registryRows(PerfTimer::NumPerfTimers, perfTimerName, perfTimerHelp),
+      registryRows(PerfHistogram::NumPerfHistograms, perfHistogramName,
+                   perfHistogramHelp),
+      registryRows(Phase::NumPhases, phaseName, phaseHelp)};
+  std::set<std::string> Keys, Helps;
+  for (const auto &Table : Tables) {
+    EXPECT_FALSE(Table.empty());
+    for (const RegistryRow &R : Table) {
+      EXPECT_TRUE(isSnakeCase(R.Key)) << R.Key;
+      EXPECT_FALSE(R.Help.empty()) << R.Key;
+      EXPECT_TRUE(Keys.insert(R.Key).second) << "duplicate key " << R.Key;
+      EXPECT_TRUE(Helps.insert(R.Help).second) << "duplicate HELP " << R.Help;
+    }
+  }
+  // The counters folded in from the algorithm drivers' old registry.
+  for (const char *Key :
+       {"witness_queries", "bounded_instantiations", "symbolic_unfoldings"})
+    EXPECT_TRUE(Keys.count(Key)) << Key;
+}
+
+TEST(TelemetryRegistry, PerfJsonEmitsEveryKeyOnce) {
+  std::ostringstream OS;
+  writePerfJson(OS, PerfSnapshot{});
+  const std::string J = OS.str();
+  std::vector<std::string> Expected;
+  for (size_t I = 0; I < static_cast<size_t>(PerfCounter::NumPerfCounters);
+       ++I)
+    Expected.push_back(perfCounterName(static_cast<PerfCounter>(I)));
+  for (size_t I = 0; I < static_cast<size_t>(PerfTimer::NumPerfTimers); ++I)
+    Expected.push_back(std::string(perfTimerName(static_cast<PerfTimer>(I))) +
+                       "_ms");
+  for (size_t I = 0;
+       I < static_cast<size_t>(PerfHistogram::NumPerfHistograms); ++I)
+    for (const char *Suffix :
+         {"_count", "_p50_ms", "_p90_ms", "_p99_ms", "_max_ms"})
+      Expected.push_back(
+          perfHistogramName(static_cast<PerfHistogram>(I)) +
+          std::string(Suffix));
+  for (const std::string &Key : Expected)
+    EXPECT_EQ(countOf(J, "\"" + Key + "\":"), 1u) << Key;
+  // ... and nothing else: one `":` per key.
+  EXPECT_EQ(countOf(J, "\":"), Expected.size()) << J;
+  JsonValue Parsed;
+  std::string Err;
+  EXPECT_TRUE(JsonValue::parse(J, Parsed, Err)) << Err;
+}
+
+TEST(TelemetryRegistry, ScrapeHasOneHelpPerFamily) {
+  PrometheusWriter W;
+  writeProcessMetrics(W, snapshotPerf());
+  const std::string Body = W.str();
+  std::vector<std::pair<std::string, std::string>> Families;
+  for (size_t I = 0; I < static_cast<size_t>(PerfCounter::NumPerfCounters);
+       ++I) {
+    auto C = static_cast<PerfCounter>(I);
+    Families.emplace_back(std::string("se2gis_") + perfCounterName(C) +
+                              "_total",
+                          perfCounterHelp(C));
+  }
+  for (size_t I = 0; I < static_cast<size_t>(PerfTimer::NumPerfTimers); ++I) {
+    auto T = static_cast<PerfTimer>(I);
+    Families.emplace_back(std::string("se2gis_") + perfTimerName(T) +
+                              "_seconds_total",
+                          perfTimerHelp(T));
+  }
+  for (size_t I = 0;
+       I < static_cast<size_t>(PerfHistogram::NumPerfHistograms); ++I) {
+    auto H = static_cast<PerfHistogram>(I);
+    Families.emplace_back(std::string("se2gis_") + perfHistogramName(H) +
+                              "_seconds",
+                          perfHistogramHelp(H));
+  }
+  for (const auto &[Name, Help] : Families) {
+    EXPECT_EQ(countOf(Body, "# HELP " + Name + " "), 1u) << Name;
+    EXPECT_EQ(countOf(Body, "# HELP " + Name + " " + Help + "\n"), 1u)
+        << Name;
+  }
+  std::set<std::string> HelpLines;
+  std::istringstream In(Body);
+  for (std::string Line; std::getline(In, Line);) {
+    if (Line.rfind("# HELP ", 0) != 0)
+      continue;
+    std::string Family = Line.substr(7, Line.find(' ', 7) - 7);
+    EXPECT_TRUE(HelpLines.insert(Family).second) << Line;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -71,6 +71,22 @@ TEST(SuiteTest, RunnerDetectsUnrealizableSubset) {
         << algorithmName(R.Algorithm) << ": " << R.Result.Detail;
 }
 
+// The per-run perf delta carries the counts of the paper's Tables 1–2 (the
+// CLI's `telemetry:` line prints them).
+TEST(SuiteTest, RunStatsCarryAlgorithmCounters) {
+  Problem P = loadBenchmark(*findBenchmark("list/sum"));
+  AlgoOptions Opts;
+  Opts.TimeoutMs = 15000;
+  Outcome R = runAlgorithm(AlgorithmKind::SE2GIS, P, Opts);
+  ASSERT_EQ(R.V, Verdict::Realizable) << R.Detail;
+  for (PerfCounter C :
+       {PerfCounter::SmtQueries, PerfCounter::EnumCandidates,
+        PerfCounter::WitnessQueries, PerfCounter::SymbolicUnfoldings})
+    EXPECT_GT(R.Stats.Perf.get(C), 0u) << perfCounterName(C);
+  EXPECT_NE(R.Stats.Perf.str().find("witness_queries="), std::string::npos)
+      << R.Stats.Perf.str();
+}
+
 // A correctness property over solved realizable benchmarks: the synthesized
 // solution agrees with the reference on random invariant-satisfying inputs
 // (parameterized over a fast representative subset).

@@ -506,13 +506,12 @@ int main(int argc, char **argv) {
               verdictName(R.V), Via.c_str(), R.Stats.ElapsedMs,
               R.Stats.Steps.c_str());
   if (!Quiet) {
-    std::printf("telemetry: %s\n", R.Stats.Counters.str().c_str());
-    std::printf("phases: eval=%.1f ms smt=%.1f ms enum=%.1f ms "
-                "induction=%.1f ms\n",
-                R.Stats.Phases.getMs(Phase::Eval),
-                R.Stats.Phases.getMs(Phase::Smt),
-                R.Stats.Phases.getMs(Phase::Enum),
-                R.Stats.Phases.getMs(Phase::Induction));
+    std::printf("telemetry: %s\n", R.Stats.Perf.str().c_str());
+    std::printf("phases:");
+    for (size_t I = 0; I < static_cast<size_t>(Phase::NumPhases); ++I)
+      std::printf(" %s=%.1f ms", phaseName(static_cast<Phase>(I)),
+                  R.Stats.Phases.getMs(static_cast<Phase>(I)));
+    std::printf("\n");
   }
   if (!Quiet) {
     if (R.V == Verdict::Realizable) {
