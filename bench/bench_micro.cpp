@@ -4,7 +4,7 @@
 /// Google-benchmark microbenchmarks of the primitive operations the SE²GIS
 /// loops are built from: symbolic unfolding, recursion elimination, frame
 /// computation, SGE construction, witness SMT queries, the SMT wrapper on a
-/// warm session, and PBE enumeration.
+/// warm session, PBE enumeration, and recording one trace span.
 /// These are ours (the paper reports end-to-end numbers only); they document
 /// where the time goes.
 ///
@@ -18,6 +18,7 @@
 #include "smt/Solver.h"
 #include "suite/Benchmarks.h"
 #include "support/PerfCounters.h"
+#include "support/Trace.h"
 #include "synth/Enumerator.h"
 #include "synth/Grammar.h"
 
@@ -182,6 +183,19 @@ void BM_PbeEnumerationIte(benchmark::State &State) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_PbeEnumerationIte)->Arg(9)->Unit(benchmark::kMillisecond);
+
+void BM_TraceSpanTwoArgs(benchmark::State &State) {
+  // One span with a string and an int arg, as smt.checkSat and the round
+  // spans record on every solve: what the always-on recorder costs a site.
+  std::int64_t Round = 0;
+  for (auto _ : State) {
+    TraceSpan Span("bench.span", "bench");
+    Span.arg("verdict", "unsat");
+    Span.arg("round", Round++);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TraceSpanTwoArgs);
 
 } // namespace
 

@@ -187,8 +187,7 @@ std::optional<std::string> RemoteStore::get(const char *Segment,
                 .count();
   perfRecordNs(PerfHistogram::CacheRemoteProbeNs,
                static_cast<std::uint64_t>(Ns > 0 ? Ns : 0));
-  if (Span.active())
-    Span.arg("segment", Segment);
+  Span.arg("segment", Segment);
   if (!Resp)
     return std::nullopt; // degraded / errored, already counted
   if (!Resp->getBool("ok", false)) {
@@ -207,8 +206,7 @@ std::optional<std::string> RemoteStore::get(const char *Segment,
     return std::nullopt;
   }
   perfAdd(PerfCounter::CacheRemoteHits);
-  if (Span.active())
-    Span.arg("hit", "true");
+  Span.arg("hit", "true");
   logf(LogLevel::Debug, "cachenet", "remote hit %s/%s (%zu bytes)", Segment,
        K.hex().c_str(), P->asString().size());
   return P->asString();

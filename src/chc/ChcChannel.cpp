@@ -55,12 +55,10 @@ Outcome se2gis::runChcChannel(const Problem &P, const AlgoOptions &Opts) {
             static_cast<std::uint64_t>(Sys.NumRules));
 
     TraceSpan Span("chc.query", "chc");
-    if (Span.active()) {
-      Span.arg("terms", static_cast<std::int64_t>(Sys.NumTerms));
-      Span.arg("rules", static_cast<std::int64_t>(Sys.NumRules));
-      Span.arg("points", static_cast<std::int64_t>(Sys.NumPoints));
-      Span.arg("constraints", static_cast<std::int64_t>(Sys.NumEquations));
-    }
+    Span.arg("terms", static_cast<std::int64_t>(Sys.NumTerms));
+    Span.arg("rules", static_cast<std::int64_t>(Sys.NumRules));
+    Span.arg("points", static_cast<std::int64_t>(Sys.NumPoints));
+    Span.arg("constraints", static_cast<std::int64_t>(Sys.NumEquations));
     perfAdd(PerfCounter::ChcQueries);
     progressPublish([&](ProgressSnapshot &Pr) {
       progressSetStr(Pr.ChcState, "solving");
@@ -72,8 +70,7 @@ Outcome se2gis::runChcChannel(const Problem &P, const AlgoOptions &Opts) {
 
     if (QR == FixedpointSolver::Result::Underivable) {
       perfAdd(PerfCounter::ChcUnsat);
-      if (Span.active())
-        Span.arg("result", "unsat");
+      Span.arg("result", "unsat");
       progressPublish([&](ProgressSnapshot &Pr) {
         progressSetStr(Pr.ChcState, "unsat");
         Pr.UpdatedNs = detail::traceNowNs();
@@ -92,8 +89,7 @@ Outcome se2gis::runChcChannel(const Problem &P, const AlgoOptions &Opts) {
     }
     if (QR == FixedpointSolver::Result::Derivable) {
       perfAdd(PerfCounter::ChcDerivable);
-      if (Span.active())
-        Span.arg("result", "sat");
+      Span.arg("result", "sat");
       progressPublish([&](ProgressSnapshot &Pr) {
         progressSetStr(Pr.ChcState, "inconclusive");
         Pr.UpdatedNs = detail::traceNowNs();
@@ -105,8 +101,7 @@ Outcome se2gis::runChcChannel(const Problem &P, const AlgoOptions &Opts) {
       continue;
     }
     perfAdd(PerfCounter::ChcUnknown);
-    if (Span.active())
-      Span.arg("result", "unknown");
+    Span.arg("result", "unknown");
     Result.V = Budget.expired() ? Verdict::Timeout : Verdict::Failed;
     if (Result.V == Verdict::Failed)
       Result.Detail = "CHC: fixedpoint engine gave up";

@@ -223,12 +223,10 @@ Outcome se2gis::runSE2GIS(const Problem &P, const AlgoOptions &Opts) {
 
   while (true) {
     TraceSpan Round("se2gis.round", "round");
-    if (Round.active()) {
-      Round.arg("refinements",
-                static_cast<std::int64_t>(Result.Stats.Refinements));
-      Round.arg("coarsenings",
-                static_cast<std::int64_t>(Result.Stats.Coarsenings));
-    }
+    Round.arg("refinements",
+              static_cast<std::int64_t>(Result.Stats.Refinements));
+    Round.arg("coarsenings",
+              static_cast<std::int64_t>(Result.Stats.Coarsenings));
     // Round-granularity live introspection (no-op outside the service).
     progressPublish([&](ProgressSnapshot &Pr) {
       progressSetStr(Pr.Algorithm, "se2gis");
@@ -439,11 +437,9 @@ Outcome se2gis::runSEGIS(const Problem &P, const AlgoOptions &Opts,
 
   while (true) {
     TraceSpan Round("segis.round", "round");
-    if (Round.active()) {
-      Round.arg("refinements",
-                static_cast<std::int64_t>(Result.Stats.Refinements));
-      Round.arg("terms", static_cast<std::uint64_t>(Terms.size()));
-    }
+    Round.arg("refinements",
+              static_cast<std::int64_t>(Result.Stats.Refinements));
+    Round.arg("terms", static_cast<std::uint64_t>(Terms.size()));
     progressPublish([&](ProgressSnapshot &Pr) {
       progressSetStr(Pr.Algorithm,
                      WithUnrealizabilityChecker ? "segis-uc" : "segis");

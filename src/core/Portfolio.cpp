@@ -76,10 +76,8 @@ Outcome se2gis::runRace(const std::vector<AlgorithmKind> &Members,
     AlgoOptions Local = Opts;
     Local.Token = Token;
     Outcome R = runMember(K, P, Local);
-    if (Span.active()) {
-      Span.arg("algorithm", algorithmName(K));
-      Span.arg("verdict", verdictName(R.V));
-    }
+    Span.arg("algorithm", algorithmName(K));
+    Span.arg("verdict", verdictName(R.V));
     if (R.Detail.empty())
       R.Detail = std::string("portfolio: ") + algorithmName(K);
     std::lock_guard<std::mutex> Lock(M);

@@ -3,7 +3,6 @@
 #include "core/SynthesisTask.h"
 
 #include "support/Diagnostics.h"
-#include "support/FlightRecorder.h"
 #include "support/Trace.h"
 
 #include <cstdlib>
@@ -91,15 +90,6 @@ SolverConfig SolverConfig::fromEnv(std::int64_t DefaultTimeoutMs) {
     C.Log.JsonPath = J;
   if (const char *T = std::getenv("SE2GIS_TRACE"))
     C.TracePath = T;
-  if (const char *F = std::getenv("SE2GIS_FLIGHT")) {
-    std::string V = F;
-    if (V == "on")
-      C.Flight = true;
-    else if (V == "off")
-      C.Flight = false;
-    else
-      userError("SE2GIS_FLIGHT: expected on or off, got '" + V + "'");
-  }
   return C;
 }
 
@@ -112,8 +102,6 @@ Outcome SynthesisTask::run(const SolverConfig &Config) const {
   try {
     configureCache(Config.Cache);
     configureLogging(Config.Log);
-    if (Config.Flight != flightEnabled())
-      flightConfigure(Config.Flight);
     if (!Config.TracePath.empty())
       traceConfigure(Config.TracePath);
     R = runAlgorithm(Algorithm, *Prob, Config.Algo);

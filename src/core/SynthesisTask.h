@@ -47,14 +47,10 @@ struct SolverConfig {
   /// Leveled logging: admitted level and optional JSONL sink
   /// (DESIGN.md "Observability model").
   LogSettings Log;
-  /// When non-empty, tracing is on and a Chrome trace_event JSON file is
-  /// flushed here at the end of the run / sweep (load it in Perfetto).
+  /// When non-empty, the flight recorder's rings are dumped here as a
+  /// Chrome trace_event JSON file at the end of the run / sweep and at
+  /// exit (load it in Perfetto).
   std::string TracePath;
-  /// Always-on flight recorder (DESIGN.md "Operability model"): per-thread
-  /// rings of recent spans/logs/phases kept even with trace export off,
-  /// dumped on fatal errors and job timeouts. Off only for overhead-
-  /// sensitive measurements.
-  bool Flight = true;
   /// Benchmark-generator stream seed (src/gen/): the fuzz driver and any
   /// generator-backed sweep derive every sampled case from this value, so
   /// a run is reproducible from the config alone. Unlike Algo.Seed (the
@@ -82,9 +78,7 @@ struct SolverConfig {
   ///  - SE2GIS_LOG — log level (error|warn|info|debug; throws UserError on
   ///    anything else); SE2GIS_LOG_JSON — JSONL log sink path. The legacy
   ///    SE2GIS_DEBUG=1 implies debug level unless SE2GIS_LOG is set.
-  ///  - SE2GIS_TRACE — trace output path (enables tracing).
-  ///  - SE2GIS_FLIGHT — "on" (default) or "off"; off disables the flight
-  ///    recorder entirely (throws UserError on anything else).
+  ///  - SE2GIS_TRACE — trace output path (a dump of the flight recorder).
   static SolverConfig fromEnv(std::int64_t DefaultTimeoutMs = 5000);
 };
 

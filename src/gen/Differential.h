@@ -107,8 +107,8 @@ struct DiffOptions {
   bool InjectBug = false;
 };
 
-/// Runs \p C across \p Matrix under \p Opts. Opens a `fuzz.case` trace
-/// span when tracing is enabled.
+/// Runs \p C across \p Matrix under \p Opts inside a `fuzz.case` trace
+/// span.
 CaseReport runCaseDifferential(const GenCase &C,
                                const std::vector<FuzzConfigSpec> &Matrix,
                                const DiffOptions &Opts);

@@ -439,12 +439,9 @@ void Server::runJob(const std::shared_ptr<Job> &J) {
                J->Seq, J->Spec.Label.c_str());
 
   TraceSpan Span("service.job", "service");
-  if (Span.active()) {
-    Span.arg("job", J->Id);
-    Span.arg("label", J->Spec.Label);
-    Span.arg("algorithm", algorithmName(J->Spec.Algorithm));
-    Span.arg("rid", J->Rid);
-  }
+  Span.arg("job", J->Id);
+  Span.arg("label", J->Spec.Label);
+  Span.arg("algorithm", algorithmName(J->Spec.Algorithm));
   SolverConfig Cfg = Config.Base;
   Cfg.Algo.TimeoutMs = J->Spec.TimeoutMs;
   Cfg.Algo.Token = J->Token;
@@ -453,8 +450,7 @@ void Server::runJob(const std::shared_ptr<Job> &J) {
   SynthesisTask Task(J->Spec.Prob, J->Spec.Algorithm);
   Outcome R = Task.run(Cfg); // never throws; failures become Verdict::Failed
 
-  if (Span.active())
-    Span.arg("verdict", verdictName(R.V));
+  Span.arg("verdict", verdictName(R.V));
   flightRecord(FlightKind::Mark, "job.done", detail::traceNowNs(), 0, J->Seq,
                verdictName(R.V));
   logf(LogLevel::Info, "service", "%s %s %s (%.1f ms)", J->Id.c_str(),

@@ -470,12 +470,10 @@ SmtResult SmtQuery::checkSat(int TimeoutMs, SmtModel *ModelOut,
   perfRecordNs(PerfHistogram::SmtTranslateNs,
                I->TranslateNs - I->TranslateReportedNs);
   I->TranslateReportedNs = I->TranslateNs;
-  if (Span.active()) {
-    Span.arg("verdict", R == SmtResult::Sat     ? "sat"
-                        : R == SmtResult::Unsat ? "unsat"
-                                                : "unknown");
-    Span.arg("cache", CacheHit ? "hit" : "miss");
-  }
+  Span.arg("verdict", R == SmtResult::Sat     ? "sat"
+                      : R == SmtResult::Unsat ? "unsat"
+                                              : "unknown");
+  Span.arg("cache", CacheHit ? "hit" : "miss");
   return R;
 }
 

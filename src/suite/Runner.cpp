@@ -132,10 +132,8 @@ namespace {
 void runOne(SuiteRecord &Rec, std::shared_ptr<const Problem> P,
             const SolverConfig &Config, ProgressReporter &Progress) {
   TraceSpan Span("suite.run", "suite");
-  if (Span.active()) {
-    Span.arg("benchmark", Rec.Def->Name);
-    Span.arg("algorithm", algorithmName(Rec.Algorithm));
-  }
+  Span.arg("benchmark", Rec.Def->Name);
+  Span.arg("algorithm", algorithmName(Rec.Algorithm));
   Hash128 Key{};
   const bool TryWarm = cachePersistent() && P != nullptr;
   if (TryWarm) {
@@ -269,9 +267,9 @@ std::vector<SuiteRecord> se2gis::runSuite(const SuiteOptions &Opts) {
   Stopwatch Wall;
   // Configure the memoization subsystem before the sweep starts (rather
   // than inside the first SynthesisTask::run) so the persistent segments
-  // are loaded before any warm-start lookup. Logging and tracing likewise:
-  // progress lines and the per-record spans must respect the config from
-  // the very first benchmark.
+  // are loaded before any warm-start lookup. Logging and the trace path
+  // likewise: progress lines must respect the config from the very first
+  // benchmark.
   configureCache(Opts.Config.Cache);
   configureLogging(Opts.Config.Log);
   if (!Opts.Config.TracePath.empty())

@@ -1,12 +1,12 @@
-//===- FlightRecorder.cpp - Always-on crash/timeout post-mortem -----------===//
+//===- FlightRecorder.cpp - The one span/log/phase event store ------------===//
 
 #include "support/FlightRecorder.h"
 
 #include "support/Log.h"
-#include "support/Trace.h"
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <mutex>
@@ -27,25 +27,28 @@ namespace se2gis {
 namespace {
 
 constexpr std::size_t kMaxRings = 256;
+static_assert((kFlightRingCapacity & (kFlightRingCapacity - 1)) == 0,
+              "ring capacity must be a power of two");
 
-/// One single-writer ring. The owning thread is the only writer; dumpers
-/// (including the signal handler) read racily — a torn slot renders as
-/// odd text, never as a fault, because every field is POD and Name only
-/// ever holds nullptr or a static string.
+/// One single-writer ring. The thread holding it is the only writer;
+/// dumpers (including the signal handler) read racily — a torn slot renders
+/// as odd text, never as a fault, because every field is plain data and
+/// Name/Category only ever hold nullptr or a static string.
 struct Ring {
+  /// kFlightRingCapacity zero-filled slots from calloc: pages no event has
+  /// reached yet cost no RSS.
   FlightEvent *Slots = nullptr;
-  std::size_t Cap = 0; ///< power of two
   std::atomic<std::uint64_t> WriteIdx{0};
-  std::uint32_t Tid = 0;
+  Ring *NextFree = nullptr; ///< guarded by GRingMu
 };
 
-std::atomic<bool> GEnabled{true};
-std::atomic<std::size_t> GRingCap{4096};
-
 /// Fixed registration table the signal handler can walk without locks.
-/// Rings are leaked on purpose (see header).
-Ring *GRings[kMaxRings] = {};
+std::atomic<Ring *> GRings[kMaxRings] = {};
 std::atomic<unsigned> GRingCount{0};
+
+/// Rings handed back by exited threads, waiting for the next new thread.
+std::mutex GRingMu;
+Ring *GFreeRings = nullptr; // guarded by GRingMu
 
 std::mutex GPrefixMu;
 std::string GDumpPrefix; // guarded by GPrefixMu
@@ -55,55 +58,102 @@ std::string GDumpPrefix; // guarded by GPrefixMu
 char GSignalDumpPath[512] = {};
 std::atomic<bool> GHandlerInstalled{false};
 
-std::size_t roundUpPow2(std::size_t N) {
-  std::size_t P = 1;
-  while (P < N && P < (std::size_t(1) << 30))
-    P <<= 1;
-  return P;
+Ring *acquireRing() {
+  std::lock_guard<std::mutex> Lock(GRingMu);
+  if (Ring *R = GFreeRings) {
+    GFreeRings = R->NextFree;
+    return R;
+  }
+  unsigned N = GRingCount.load(std::memory_order_relaxed);
+  if (N == kMaxRings)
+    return nullptr; // 256 threads recording at once: the newest drop events
+  void *Slots = std::calloc(kFlightRingCapacity, sizeof(FlightEvent));
+  if (!Slots)
+    return nullptr;
+  auto *R = new Ring();
+  R->Slots = static_cast<FlightEvent *>(Slots);
+  GRings[N].store(R, std::memory_order_release);
+  GRingCount.store(N + 1, std::memory_order_release);
+  return R;
 }
+
+thread_local Ring *TLRing = nullptr;
+thread_local bool TLRingReturned = false;
+
+/// Hands the thread's ring to the free list when the thread exits. Events
+/// recorded after that (from later thread-exit destructors) are dropped.
+struct RingReturn {
+  ~RingReturn() {
+    if (TLRing) {
+      std::lock_guard<std::mutex> Lock(GRingMu);
+      TLRing->NextFree = GFreeRings;
+      GFreeRings = TLRing;
+    }
+    TLRing = nullptr;
+    TLRingReturned = true;
+  }
+};
 
 Ring *threadRing() {
-  thread_local Ring *TL = nullptr;
-  if (TL)
-    return TL;
-  unsigned Slot = GRingCount.fetch_add(1, std::memory_order_relaxed);
-  if (Slot >= kMaxRings) {
-    // Table full: recording threads beyond the cap drop events. 256
-    // threads is far above any configuration the service runs.
-    GRingCount.store(kMaxRings, std::memory_order_relaxed);
-    return nullptr;
+  if (TLRing || TLRingReturned)
+    return TLRing;
+  thread_local RingReturn Hook;
+  (void)Hook;
+  TLRing = acquireRing();
+  return TLRing;
+}
+
+/// Calls \p Fn on every registered ring.
+template <typename RingFn> void forEachRing(RingFn &&Fn) {
+  unsigned Count = GRingCount.load(std::memory_order_acquire);
+  for (unsigned I = 0; I < Count; ++I)
+    if (Ring *R = GRings[I].load(std::memory_order_acquire))
+      Fn(*R);
+}
+
+/// A bounded text builder over a caller's buffer: appends past the end are
+/// dropped. Integer formatting only, so the signal handler can use it.
+struct Out {
+  char *Buf;
+  std::size_t Cap;
+  std::size_t Pos = 0;
+
+  void put(char C) {
+    if (Pos + 1 < Cap)
+      Buf[Pos++] = C;
   }
-  auto *R = new Ring();
-  R->Cap = roundUpPow2(GRingCap.load(std::memory_order_relaxed));
-  R->Slots = new FlightEvent[R->Cap]();
-  R->Tid = currentThreadId();
-  GRings[Slot] = R; // publish after fields are ready
-  std::atomic_thread_fence(std::memory_order_release);
-  TL = R;
-  return TL;
-}
-
-/// Appends \p C to Buf at Pos if it fits (writer for the signal-safe path).
-inline void putc_buf(char *Buf, std::size_t Cap, std::size_t &Pos, char C) {
-  if (Pos + 1 < Cap)
-    Buf[Pos++] = C;
-}
-
-/// Copies \p S JSON-escaped into Buf (signal-safe: no allocation).
-void putEscaped(char *Buf, std::size_t Cap, std::size_t &Pos, const char *S,
-                std::size_t MaxLen) {
-  for (std::size_t I = 0; S && S[I] && I < MaxLen; ++I) {
-    unsigned char C = static_cast<unsigned char>(S[I]);
-    if (C == '"' || C == '\\') {
-      putc_buf(Buf, Cap, Pos, '\\');
-      putc_buf(Buf, Cap, Pos, static_cast<char>(C));
-    } else if (C < 0x20) {
-      putc_buf(Buf, Cap, Pos, ' ');
-    } else {
-      putc_buf(Buf, Cap, Pos, static_cast<char>(C));
+  void str(const char *S) {
+    while (*S)
+      put(*S++);
+  }
+  void num(unsigned long long V) {
+    char Digits[20];
+    int N = 0;
+    do
+      Digits[N++] = static_cast<char>('0' + V % 10);
+    while (V /= 10);
+    while (N)
+      put(Digits[--N]);
+  }
+  /// Nanoseconds as Chrome's fractional microseconds.
+  void micros(std::uint64_t Ns) {
+    num(Ns / 1000);
+    put('.');
+    put(static_cast<char>('0' + Ns / 100 % 10));
+    put(static_cast<char>('0' + Ns / 10 % 10));
+    put(static_cast<char>('0' + Ns % 10));
+  }
+  /// Copies at most \p Len bytes of \p S (stopping at a NUL) JSON-escaped;
+  /// control characters become spaces.
+  void escaped(const char *S, std::size_t Len) {
+    for (std::size_t I = 0; I < Len && S[I]; ++I) {
+      char C = S[I];
+      if (C == '"' || C == '\\')
+        put('\\');
+      put(static_cast<unsigned char>(C) < 0x20 ? ' ' : C);
     }
   }
-}
+};
 
 const char *kindName(FlightKind K) {
   switch (K) {
@@ -119,65 +169,123 @@ const char *kindName(FlightKind K) {
   return "?";
 }
 
-/// Formats one event as a Chrome trace_event JSON object into \p Buf.
-/// Integer arithmetic and snprintf with integer conversions only, so the
-/// same formatter serves both the ostream and the signal-safe dumpers.
-/// \returns the number of bytes written (no trailing comma/newline).
-std::size_t formatEvent(const FlightEvent &E, char *Buf, std::size_t Cap) {
-  std::size_t Pos = 0;
-  unsigned long long TsUs = E.StartNs / 1000, TsFrac = E.StartNs % 1000;
-  unsigned long long DurUs = E.DurNs / 1000, DurFrac = E.DurNs % 1000;
-  const char *Name = E.Name ? E.Name : "?";
-  int N = snprintf(Buf + Pos, Cap - Pos, "{\"name\":\"");
-  Pos += (N > 0 && Pos + N < Cap) ? static_cast<std::size_t>(N) : 0;
-  putEscaped(Buf, Cap, Pos, Name, 128);
-  bool Durational = E.Kind == FlightKind::Span || E.Kind == FlightKind::Phase;
-  if (Durational)
-    N = snprintf(Buf + Pos, Cap - Pos,
-                 "\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%llu.%03llu,"
-                 "\"dur\":%llu.%03llu,\"pid\":1,\"tid\":%u,\"args\":{",
-                 kindName(E.Kind), TsUs, TsFrac, DurUs, DurFrac, E.Tid);
-  else
-    N = snprintf(Buf + Pos, Cap - Pos,
-                 "\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\","
-                 "\"ts\":%llu.%03llu,\"pid\":1,\"tid\":%u,\"args\":{",
-                 kindName(E.Kind), TsUs, TsFrac, E.Tid);
-  Pos += (N > 0 && Pos + static_cast<std::size_t>(N) < Cap)
-             ? static_cast<std::size_t>(N)
-             : 0;
-  N = snprintf(Buf + Pos, Cap - Pos, "\"rid\":%llu,\"a0\":%llu,\"detail\":\"",
-               static_cast<unsigned long long>(E.Rid),
-               static_cast<unsigned long long>(E.A0));
-  Pos += (N > 0 && Pos + static_cast<std::size_t>(N) < Cap)
-             ? static_cast<std::size_t>(N)
-             : 0;
-  putEscaped(Buf, Cap, Pos, E.Detail, sizeof(E.Detail));
-  N = snprintf(Buf + Pos, Cap - Pos, "\"}}");
-  Pos += (N > 0 && Pos + static_cast<std::size_t>(N) < Cap)
-             ? static_cast<std::size_t>(N)
-             : 0;
-  Buf[Pos < Cap ? Pos : Cap - 1] = '\0';
-  return Pos;
+/// \returns true when \p S[0..Len) is a JSON integer.
+bool isJsonInt(const char *S, std::size_t Len) {
+  std::size_t I = (Len && S[0] == '-') ? 1 : 0;
+  if (I == Len || (S[I] == '0' && Len - I > 1))
+    return false;
+  for (; I < Len; ++I)
+    if (S[I] < '0' || S[I] > '9')
+      return false;
+  return true;
 }
 
-/// Walks every registered ring, calling \p Emit(Event) oldest-first per
-/// ring. Template so both dumpers share the iteration logic.
-template <typename EmitFn> void forEachBufferedEvent(EmitFn &&Emit) {
-  unsigned Count = GRingCount.load(std::memory_order_acquire);
-  if (Count > kMaxRings)
-    Count = kMaxRings;
-  for (unsigned I = 0; I < Count; ++I) {
-    Ring *R = GRings[I];
-    if (!R || !R->Slots)
-      continue;
-    std::uint64_t End = R->WriteIdx.load(std::memory_order_acquire);
-    std::uint64_t Begin = End > R->Cap ? End - R->Cap : 0;
-    for (std::uint64_t Idx = Begin; Idx < End; ++Idx) {
-      const FlightEvent &E = R->Slots[Idx & (R->Cap - 1)];
-      if (E.Name || E.StartNs)
-        Emit(E);
+/// Emits a span's packed args (see kFlightArgStr) as `,"key":value` pairs.
+/// A record cut short by truncation or a torn read is dropped.
+void putSpanArgs(Out &O, const char *T) {
+  std::size_t I = 0;
+  while (I < kFlightTextSize && T[I]) {
+    std::size_t Key = I;
+    while (I < kFlightTextSize && T[I] && T[I] != kFlightArgStr &&
+           T[I] != kFlightArgInt)
+      ++I;
+    if (I == kFlightTextSize || !T[I])
+      return;
+    bool Int = T[I++] == kFlightArgInt;
+    std::size_t Val = I;
+    while (I < kFlightTextSize && T[I] && T[I] != kFlightArgEnd)
+      ++I;
+    std::size_t ValLen = I - Val;
+    if (I < kFlightTextSize && T[I] == kFlightArgEnd)
+      ++I;
+    O.str(",\"");
+    O.escaped(T + Key, Val - 1 - Key);
+    O.str("\":");
+    if (Int && isJsonInt(T + Val, ValLen)) {
+      O.escaped(T + Val, ValLen);
+    } else {
+      O.put('"');
+      O.escaped(T + Val, ValLen);
+      O.put('"');
     }
   }
+}
+
+/// Formats one event as a Chrome trace_event JSON object — the one
+/// formatter behind every dump.
+void formatEvent(Out &O, const FlightEvent &E) {
+  bool IsSpan = E.Kind == FlightKind::Span;
+  O.str("{\"name\":\"");
+  O.escaped(E.Name ? E.Name : "?", 128);
+  O.str("\",\"cat\":\"");
+  if (IsSpan && E.Category)
+    O.escaped(E.Category, 64);
+  else
+    O.str(kindName(E.Kind));
+  if (IsSpan || E.Kind == FlightKind::Phase) {
+    O.str("\",\"ph\":\"X\",\"ts\":");
+    O.micros(E.StartNs);
+    O.str(",\"dur\":");
+    O.micros(E.DurNs);
+  } else {
+    O.str("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
+    O.micros(E.StartNs);
+  }
+  O.str(",\"pid\":1,\"tid\":");
+  O.num(E.Tid);
+  O.str(",\"args\":{\"rid\":");
+  O.num(E.Rid);
+  if (IsSpan) {
+    putSpanArgs(O, E.Text);
+  } else {
+    O.str(",\"a0\":");
+    O.num(E.A0);
+    O.str(",\"detail\":\"");
+    O.escaped(E.Text, kFlightTextSize);
+    O.put('"');
+  }
+  O.str("}}");
+}
+
+/// Writes the whole dump through \p Write(const char *, std::size_t):
+/// shared by the ostream and the signal-safe exporters.
+template <typename WriteFn> void writeDump(WriteFn &&Write) {
+  static const char Head[] =
+      "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+      "\"tid\":0,\"args\":{\"name\":\"se2gis\"}}";
+  Write(Head, sizeof(Head) - 1);
+  char Buf[2048];
+  forEachRing([&](Ring &R) {
+    std::uint64_t End = R.WriteIdx.load(std::memory_order_acquire);
+    std::uint64_t Begin =
+        End > kFlightRingCapacity ? End - kFlightRingCapacity : 0;
+    std::uint32_t LastTid = 0; // compact thread ids start at 1
+    for (std::uint64_t Idx = Begin; Idx < End; ++Idx) {
+      // Copy first so a racing writer cannot change fields mid-format.
+      FlightEvent E = R.Slots[Idx & (kFlightRingCapacity - 1)];
+      if (!E.Name && !E.StartNs)
+        continue;
+      Out O{Buf, sizeof(Buf)};
+      // A ring passes from thread to thread, so name each track as its
+      // events begin.
+      if (E.Tid != LastTid) {
+        LastTid = E.Tid;
+        O.str(",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
+        O.num(E.Tid);
+        O.str(",\"args\":{\"name\":\"se2gis-t");
+        O.num(E.Tid);
+        O.str("\"}}");
+      }
+      O.put(',');
+      formatEvent(O, E);
+      Write(Buf, O.Pos);
+    }
+  });
+  Out O{Buf, sizeof(Buf)};
+  O.str("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"overwritten_events\":");
+  O.num(flightOverwrittenEvents());
+  O.str("}}\n");
+  Write(Buf, O.Pos);
 }
 
 void writeFull(int Fd, const char *Buf, std::size_t Len) {
@@ -219,14 +327,6 @@ extern "C" void se2gisFlightSignalHandler(int Sig) {
 
 } // namespace
 
-bool flightEnabled() { return GEnabled.load(std::memory_order_relaxed); }
-
-void flightConfigure(bool Enabled, std::size_t RingCapacity) {
-  if (RingCapacity >= 2)
-    GRingCap.store(roundUpPow2(RingCapacity), std::memory_order_relaxed);
-  GEnabled.store(Enabled, std::memory_order_relaxed);
-}
-
 void flightSetDumpPrefix(const std::string &PathPrefix) {
   std::lock_guard<std::mutex> Lock(GPrefixMu);
   GDumpPrefix = PathPrefix;
@@ -244,81 +344,62 @@ std::string flightDumpPrefix() {
 }
 
 void flightRecord(FlightKind Kind, const char *Name, std::uint64_t StartNs,
-                  std::uint64_t DurNs, std::uint64_t A0, const char *Detail,
-                  unsigned char Level) {
-  if (!flightEnabled())
-    return;
+                  std::uint64_t DurNs, std::uint64_t A0, const char *Text,
+                  const char *Category) {
   Ring *R = threadRing();
   if (!R)
     return;
   std::uint64_t Idx = R->WriteIdx.load(std::memory_order_relaxed);
-  FlightEvent &E = R->Slots[Idx & (R->Cap - 1)];
+  FlightEvent &E = R->Slots[Idx & (kFlightRingCapacity - 1)];
   E.StartNs = StartNs;
   E.DurNs = DurNs;
   E.Name = Name;
+  E.Category = Category;
   E.Rid = threadRequestId();
   E.A0 = A0;
-  E.Tid = R->Tid;
+  E.Tid = currentThreadId();
   E.Kind = Kind;
-  E.Level = Level;
-  if (Detail) {
-    std::size_t L = strnlen(Detail, sizeof(E.Detail) - 1);
-    memcpy(E.Detail, Detail, L);
-    E.Detail[L] = '\0';
-  } else {
-    E.Detail[0] = '\0';
+  std::size_t L = 0;
+  if (Text) {
+    L = strnlen(Text, kFlightTextSize - 1);
+    // A cut text ends before a split UTF-8 sequence, so dumps stay UTF-8.
+    while (L && Text[L] && (Text[L] & 0xC0) == 0x80)
+      --L;
+    memcpy(E.Text, Text, L);
   }
+  E.Text[L] = '\0';
   R->WriteIdx.store(Idx + 1, std::memory_order_release);
 }
 
 std::uint64_t flightRecordedEvents() {
   std::uint64_t Total = 0;
-  unsigned Count = GRingCount.load(std::memory_order_acquire);
-  if (Count > kMaxRings)
-    Count = kMaxRings;
-  for (unsigned I = 0; I < Count; ++I)
-    if (Ring *R = GRings[I])
-      Total += R->WriteIdx.load(std::memory_order_relaxed);
+  forEachRing(
+      [&](Ring &R) { Total += R.WriteIdx.load(std::memory_order_relaxed); });
   return Total;
 }
 
 std::uint64_t flightOverwrittenEvents() {
   std::uint64_t Total = 0;
-  unsigned Count = GRingCount.load(std::memory_order_acquire);
-  if (Count > kMaxRings)
-    Count = kMaxRings;
-  for (unsigned I = 0; I < Count; ++I)
-    if (Ring *R = GRings[I]) {
-      std::uint64_t W = R->WriteIdx.load(std::memory_order_relaxed);
-      if (W > R->Cap)
-        Total += W - R->Cap;
-    }
+  forEachRing([&](Ring &R) {
+    std::uint64_t W = R.WriteIdx.load(std::memory_order_relaxed);
+    if (W > kFlightRingCapacity)
+      Total += W - kFlightRingCapacity;
+  });
   return Total;
 }
 
 void flightReset() {
-  unsigned Count = GRingCount.load(std::memory_order_acquire);
-  if (Count > kMaxRings)
-    Count = kMaxRings;
-  for (unsigned I = 0; I < Count; ++I)
-    if (Ring *R = GRings[I]) {
-      for (std::size_t S = 0; S < R->Cap; ++S)
-        R->Slots[S] = FlightEvent();
-      R->WriteIdx.store(0, std::memory_order_release);
-    }
+  forEachRing([](Ring &R) {
+    memset(static_cast<void *>(R.Slots), 0,
+           kFlightRingCapacity * sizeof(FlightEvent));
+    R.WriteIdx.store(0, std::memory_order_release);
+  });
 }
 
 void flightWriteJson(std::ostream &OS) {
-  OS << "{\"traceEvents\":[";
-  OS << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-        "\"args\":{\"name\":\"se2gis flight recorder\"}}";
-  char Buf[1024];
-  forEachBufferedEvent([&](const FlightEvent &E) {
-    std::size_t Len = formatEvent(E, Buf, sizeof(Buf));
-    OS << ",";
-    OS.write(Buf, static_cast<std::streamsize>(Len));
+  writeDump([&](const char *S, std::size_t N) {
+    OS.write(S, static_cast<std::streamsize>(N));
   });
-  OS << "],\"displayTimeUnit\":\"ms\"}\n";
 }
 
 bool flightDumpToFile(const std::string &Path) {
@@ -331,18 +412,7 @@ bool flightDumpToFile(const std::string &Path) {
 }
 
 void flightDumpSignalSafe(int Fd) {
-  static const char Head[] =
-      "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-      "\"tid\":0,\"args\":{\"name\":\"se2gis flight recorder\"}}";
-  writeFull(Fd, Head, sizeof(Head) - 1);
-  char Buf[1024];
-  forEachBufferedEvent([&](const FlightEvent &E) {
-    writeFull(Fd, ",", 1);
-    std::size_t Len = formatEvent(E, Buf, sizeof(Buf));
-    writeFull(Fd, Buf, Len);
-  });
-  static const char Tail[] = "],\"displayTimeUnit\":\"ms\"}\n";
-  writeFull(Fd, Tail, sizeof(Tail) - 1);
+  writeDump([Fd](const char *S, std::size_t N) { writeFull(Fd, S, N); });
 }
 
 void flightInstallCrashHandler() {

@@ -1,32 +1,31 @@
-//===- FlightRecorder.h - Always-on crash/timeout post-mortem ---*- C++-*-===//
+//===- FlightRecorder.h - The one span/log/phase event store ----*- C++-*-===//
 ///
 /// \file
 /// The always-on flight recorder: per-thread lock-free rings of the most
-/// recent span / log / phase events, recorded even when trace export
-/// (support/Trace.h) is off, so a crash, a `fatalError`, or a job that ends
-/// in `Timeout` can ship a post-mortem of its last moments without anyone
-/// having asked for a trace up front.
+/// recent span / log / phase / mark events. It is the process's only event
+/// store: every \c TraceSpan lands here, a `--trace` file is a dump of the
+/// rings (support/Trace.h), and a crash, a `fatalError`, or a job that
+/// ends in `Timeout` ships the same dump as its post-mortem.
 ///
-/// Cost discipline (same as Trace.cpp):
-///  - disabled: one relaxed atomic load per instrumentation site.
-///  - enabled (the default): a fixed-size struct copy into a per-thread
-///    ring plus one relaxed index store — no locks, no allocation, no
-///    branches on ring fullness (old events are overwritten, which is the
-///    point: the ring always holds the *latest* N events).
+/// Cost: a fixed-size struct copy into the thread's ring plus one index
+/// store — no locks, no allocation, no branches on ring fullness (old
+/// events are overwritten, which is the point: the ring always holds the
+/// *latest* \c kFlightRingCapacity events). A thread takes a ring on its
+/// first event and hands it back on exit; the next new thread reuses it,
+/// so a daemon that starts a thread per connection keeps a bounded set.
 ///
 /// Dump paths:
 ///  - \c flightWriteJson / \c flightDumpToFile — ordinary exporters
 ///    producing a Chrome trace_event JSON object (Perfetto-loadable), used
-///    on job timeout/cancellation and from \c fatalError.
+///    for `--trace`, on job timeout/cancellation, and from \c fatalError.
 ///  - \c flightDumpSignalSafe — an async-signal-safe exporter writing the
-///    same JSON with nothing but write(2) and integer snprintf formatting,
-///    used by the fatal-signal handler installed by
-///    \c flightInstallCrashHandler (which also emits a backtrace to
-///    stderr before re-raising).
+///    same JSON with nothing but write(2) and integer formatting, used by
+///    the fatal-signal handler installed by \c flightInstallCrashHandler
+///    (which also emits a backtrace to stderr before re-raising).
 ///
-/// Rings are intentionally leaked: a thread may exit while a dump (or the
-/// signal handler) is reading its buffer, so buffers are registered in a
-/// fixed lock-free table and never freed.
+/// Rings are never freed: a dump (or the signal handler) may be reading a
+/// ring while its thread exits, so rings are registered in a fixed
+/// lock-free table and only ever move between threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,35 +41,41 @@ namespace se2gis {
 
 /// What one recorded event describes.
 enum class FlightKind : unsigned char {
-  Span,  ///< a completed TraceSpan (name + category + duration)
+  Span,  ///< a completed TraceSpan (name + category + args + duration)
   Log,   ///< an admitted log record (component + message prefix)
   Phase, ///< a completed PhaseScope slice over the per-event threshold
   Mark   ///< an explicit instant marker (job admission, verdicts, ...)
 };
 
-/// One ring slot. Fixed-size POD so the signal handler can read slots
-/// while a writer races ahead: a torn slot renders as garbage text, never
-/// as a crash or a heap walk.
+/// Events each thread's ring holds before the oldest is overwritten.
+constexpr std::size_t kFlightRingCapacity = 4096;
+
+/// Bytes of free text a slot keeps (NUL included).
+constexpr std::size_t kFlightTextSize = 139;
+
+/// A span's args travel in its slot's Text as `key TAG value END` records,
+/// TAG being \c kFlightArgStr or \c kFlightArgInt. The formatter escapes
+/// keys and values and quotes an int that does not parse as one, so a
+/// torn or truncated slot still renders as valid JSON.
+constexpr char kFlightArgStr = '\x1f';
+constexpr char kFlightArgInt = '\x1d';
+constexpr char kFlightArgEnd = '\x1e';
+
+/// One ring slot. Plain data, all-zero when empty, so the signal handler
+/// can read slots while a writer races ahead: a torn slot renders as odd
+/// text, never as a crash or a heap walk.
 struct FlightEvent {
-  std::uint64_t StartNs = 0; ///< trace-epoch-relative (detail::traceNowNs)
-  std::uint64_t DurNs = 0;   ///< 0 for instant events
-  const char *Name = nullptr; ///< static string (span name, component, ...)
-  std::uint64_t Rid = 0;     ///< request id active on the recording thread
-  std::uint64_t A0 = 0;      ///< small numeric payload (round, level, ...)
-  std::uint32_t Tid = 0;     ///< compact thread id (support/Log.h)
-  FlightKind Kind = FlightKind::Mark;
-  unsigned char Level = 0;   ///< LogLevel for Kind::Log
-  char Detail[42] = {};      ///< truncated free text (category / message)
+  std::uint64_t StartNs; ///< trace-epoch-relative (detail::traceNowNs)
+  std::uint64_t DurNs;   ///< 0 for instant events
+  const char *Name;      ///< static string (span name, component, ...)
+  const char *Category;  ///< static span category; nullptr for other kinds
+  std::uint64_t Rid;     ///< request id active on the recording thread
+  std::uint64_t A0;      ///< small numeric payload (seq, level, ...)
+  std::uint32_t Tid;     ///< compact thread id (support/Log.h)
+  FlightKind Kind;
+  char Text[kFlightTextSize]; ///< span args, or truncated free text
 };
-
-/// \returns true when the recorder is on — one relaxed atomic load; the
-/// guard every instrumentation site sits behind. On by default.
-bool flightEnabled();
-
-/// Turns recording on/off and (before a thread's first event) sizes new
-/// rings to \p RingCapacity events (rounded up to a power of two; rings
-/// that already exist keep their size).
-void flightConfigure(bool Enabled, std::size_t RingCapacity = 4096);
+static_assert(sizeof(FlightEvent) == 192, "keep ring slots compact");
 
 /// Remembers \p PathPrefix as the fatal-dump target: \c fatalError and the
 /// crash handler write `<prefix>.<pid>.json`. Empty disables fatal dumps.
@@ -79,12 +84,13 @@ void flightSetDumpPrefix(const std::string &PathPrefix);
 /// \returns the configured fatal-dump prefix ("" when none).
 std::string flightDumpPrefix();
 
-/// Records one event (no-op when disabled). \p Name must be a string
-/// literal or otherwise outlive every dump; \p Detail is copied
-/// (truncated to the slot's capacity).
+/// Records one event. \p Name and \p Category must be string literals or
+/// otherwise outlive every dump; \p Text is copied (truncated to the
+/// slot's capacity).
 void flightRecord(FlightKind Kind, const char *Name, std::uint64_t StartNs,
                   std::uint64_t DurNs, std::uint64_t A0 = 0,
-                  const char *Detail = nullptr, unsigned char Level = 0);
+                  const char *Text = nullptr,
+                  const char *Category = nullptr);
 
 /// Total events ever recorded / overwritten (monotonic, process-wide).
 std::uint64_t flightRecordedEvents();
@@ -94,7 +100,8 @@ std::uint64_t flightOverwrittenEvents();
 void flightReset();
 
 /// Writes everything currently buffered as one Chrome trace_event JSON
-/// object to \p OS (Perfetto-loadable). Safe against concurrent writers.
+/// object to \p OS: a thread_name record per track, then each ring's
+/// events oldest first. Safe against concurrent writers.
 void flightWriteJson(std::ostream &OS);
 
 /// Writes the JSON to \p Path. \returns false when the file cannot be

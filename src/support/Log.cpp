@@ -135,10 +135,8 @@ void se2gis::logMessage(LogLevel L, const char *Component,
   // should see the record even if another thread holds stderr. Component
   // tags are string literals at every call site, which is what the
   // recorder's static-Name contract needs.
-  if (flightEnabled())
-    flightRecord(FlightKind::Log, Component, detail::traceNowNs(), 0,
-                 static_cast<std::uint64_t>(L), Message.c_str(),
-                 static_cast<unsigned char>(L));
+  flightRecord(FlightKind::Log, Component, detail::traceNowNs(), 0,
+               static_cast<std::uint64_t>(L), Message.c_str());
   std::string Ts = timestampUtc();
   std::lock_guard<std::mutex> Lock(emitMutex());
   // The [r=N] bracket appears only when a request id is bound (service

@@ -4,7 +4,6 @@
 
 #include "support/FlightRecorder.h"
 #include "support/PerfCounters.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <cmath>
@@ -147,15 +146,10 @@ void se2gis::writeProcessMetrics(PrometheusWriter &W,
     W.histogram(std::string("se2gis_") + perfHistogramName(H) + "_seconds",
                 perfHistogramHelp(H), Snap.hist(H));
   }
-  W.counter("se2gis_trace_dropped_events_total",
-            "trace events dropped on full buffers",
-            static_cast<double>(traceDroppedEvents()));
   W.counter("se2gis_flight_events_total",
             "events recorded by the always-on flight recorder",
             static_cast<double>(flightRecordedEvents()));
   W.counter("se2gis_flight_overwritten_total",
             "flight-recorder events overwritten in the rings",
             static_cast<double>(flightOverwrittenEvents()));
-  W.gauge("se2gis_flight_enabled", "1 when the flight recorder is on",
-          flightEnabled() ? 1 : 0);
 }

@@ -79,7 +79,7 @@ private:
 /// Appends every process-wide telemetry family to \p W: each row of the
 /// tables in support/PerfCounters.h with its HELP text (counters as
 /// `se2gis_*_total`, timers as `se2gis_*_seconds_total`, latency histograms
-/// as `se2gis_*_seconds`), and the trace/flight bookkeeping counters.
+/// as `se2gis_*_seconds`), and the flight-recorder counters.
 /// \p Snap should be a fresh \c snapshotPerf().
 void writeProcessMetrics(PrometheusWriter &W, const PerfSnapshot &Snap);
 

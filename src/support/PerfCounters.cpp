@@ -215,16 +215,14 @@ PhaseSnapshot se2gis::phaseSnapshot() {
 
 PhaseScope::PhaseScope(Phase P)
     : Tracked(phaseState().push(P)), P(P),
-      FlightStartNs(flightEnabled() ? detail::traceNowNs() : 0) {}
+      FlightStartNs(detail::traceNowNs()) {}
 
 PhaseScope::~PhaseScope() {
   if (Tracked)
     phaseState().pop();
-  if (FlightStartNs) {
-    // Only slices a human would look at (≥1ms): micro eval/probe scopes
-    // would otherwise evict the spans a post-mortem actually needs.
-    std::uint64_t DurNs = detail::traceNowNs() - FlightStartNs;
-    if (DurNs >= 1000000)
-      flightRecord(FlightKind::Phase, phaseName(P), FlightStartNs, DurNs);
-  }
+  // Only slices a human would look at (≥1ms): micro eval/probe scopes
+  // would otherwise evict the spans a post-mortem actually needs.
+  std::uint64_t DurNs = detail::traceNowNs() - FlightStartNs;
+  if (DurNs >= 1000000)
+    flightRecord(FlightKind::Phase, phaseName(P), FlightStartNs, DurNs);
 }

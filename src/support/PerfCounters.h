@@ -255,7 +255,7 @@ public:
 private:
   bool Tracked;
   Phase P;
-  std::uint64_t FlightStartNs; ///< 0 when the recorder is off
+  std::uint64_t FlightStartNs;
 };
 
 } // namespace se2gis

@@ -1,21 +1,21 @@
 //===- Trace.h - Structured span tracing (Chrome trace_event) ---*- C++-*-===//
 ///
 /// \file
-/// A thread-safe span/event tracer for the SE²GIS loop. Instrumented scopes
-/// construct an RAII \c TraceSpan (name + category + optional key/value
-/// args); completed spans land in per-thread ring buffers and are exported
-/// on flush as Chrome `trace_event`-format JSON — load the file in Perfetto
-/// (ui.perfetto.dev) or chrome://tracing to see suite workers, portfolio
-/// members, refinement/coarsening rounds, and individual SMT queries on
-/// separate thread tracks.
+/// Span tracing for the SE²GIS loop. Instrumented scopes construct an RAII
+/// \c TraceSpan (name + category + optional key/value args); each completed
+/// span is one event in the always-on flight recorder
+/// (support/FlightRecorder.h), the process's only event store. `--trace`
+/// (\c traceConfigure) names a file that receives a dump of the recorder's
+/// rings at flush and at exit — load it in Perfetto (ui.perfetto.dev) or
+/// chrome://tracing to see suite workers, portfolio members,
+/// refinement/coarsening rounds, and individual SMT queries on separate
+/// thread tracks. The file holds each thread's *last*
+/// \c kFlightRingCapacity events, with log, phase and mark events beside
+/// the spans.
 ///
-/// Cost model:
-///  - disabled (the default): constructing a span is a single relaxed
-///    atomic load; no allocation, no clock read, no locking.
-///  - enabled: two steady_clock reads per span plus one short uncontended
-///    per-thread mutex section on completion. Buffers are bounded; once a
-///    thread's buffer is full further events are *dropped and counted*
-///    (\c traceDroppedEvents), never reallocated or blocking.
+/// Cost: two steady_clock reads per span, each arg a bounded copy into a
+/// buffer inside the span, and one ring-slot write on completion — no
+/// locks, no allocation.
 ///
 /// Categories emitted by the instrumented stack (see DESIGN.md
 /// "Observability model"): "suite" (per-benchmark runs), "round"
@@ -31,117 +31,61 @@
 #include "support/FlightRecorder.h"
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace se2gis {
 
-/// \returns true when tracing is on — one relaxed atomic load; the guard
-/// every instrumentation site sits behind.
-bool traceEnabled();
+/// Remembers \p Path as the trace file (empty: none). The first call with
+/// a non-empty path registers an atexit flush so a forgotten flush still
+/// yields a file.
+void traceConfigure(const std::string &Path);
 
-/// Enables tracing and remembers \p Path as the flush target (empty path:
-/// tracing on, but only explicit \c traceWriteJson exports). Buffers
-/// created after this call hold at most \p BufferCapacity events each.
-/// Idempotent for identical arguments. The first call with a non-empty
-/// path registers an atexit flush so a forgotten flush still yields a file.
-void traceConfigure(const std::string &Path, std::size_t BufferCapacity = 16384);
-
-/// Turns tracing off (recorded events are kept until \c traceReset).
-void traceDisable();
-
-/// \returns the configured flush path ("" when none).
-std::string tracePath();
-
-/// Writes everything recorded so far as one Chrome trace_event JSON object
-/// ({"traceEvents":[...],...}) to \p OS. Safe to call while other threads
-/// are still recording.
-void traceWriteJson(std::ostream &OS);
-
-/// Writes the JSON to the configured path. \returns false when no path is
-/// configured or the file cannot be written.
+/// Dumps the flight recorder to the configured path. \returns false when
+/// no path is configured or the file cannot be written.
 bool traceFlush();
 
-/// Total events dropped on full buffers since the last \c traceReset.
-std::uint64_t traceDroppedEvents();
-
-/// Total events currently buffered (test support).
-std::uint64_t traceRecordedEvents();
-
-/// Clears all buffered events and the drop counter (test support).
-void traceReset();
-
 namespace detail {
-struct TraceArg {
-  const char *Key;
-  std::string Value;
-  bool Quoted; ///< false: emit verbatim (numbers); true: JSON string
-};
-/// Records one completed span; called from ~TraceSpan only when active.
-void traceRecordSpan(const char *Name, const char *Category,
-                     std::uint64_t StartNs, std::uint64_t DurNs,
-                     std::vector<TraceArg> Args);
 /// Nanoseconds since the process-wide trace epoch.
 std::uint64_t traceNowNs();
 } // namespace detail
 
-/// RAII span: measures the enclosing scope and records it on destruction —
-/// into the trace buffers when tracing is on, and into the always-on
-/// flight recorder when that is on (the default). With both disabled the
-/// constructor is two relaxed atomic loads and every other member function
-/// is an immediate return. \p Name and \p Category must be string literals
-/// (or otherwise outlive the flush).
+/// RAII span: measures the enclosing scope and records it into the flight
+/// recorder on destruction. Args are packed into a fixed buffer in the
+/// span (see kFlightArgStr); one that does not fit is dropped, except that
+/// a string value is cut to fit. \p Name and \p Category must be string
+/// literals (or otherwise outlive every dump); the arg key "rid" is taken
+/// (each event carries its request id).
 class TraceSpan {
 public:
   TraceSpan(const char *Name, const char *Category)
-      : Name(Name), Category(Category), Active(traceEnabled()),
-        Flight(flightEnabled()),
-        StartNs((Active || Flight) ? detail::traceNowNs() : 0) {}
+      : Name(Name), Category(Category), StartNs(detail::traceNowNs()) {
+    Args[0] = '\0';
+  }
 
   ~TraceSpan() {
-    if (!Active && !Flight)
-      return;
-    std::uint64_t DurNs = detail::traceNowNs() - StartNs;
-    if (Flight)
-      flightRecord(FlightKind::Span, Name, StartNs, DurNs, 0, Category);
-    if (Active)
-      detail::traceRecordSpan(Name, Category, StartNs, DurNs,
-                              std::move(Args));
+    flightRecord(FlightKind::Span, Name, StartNs,
+                 detail::traceNowNs() - StartNs, 0, Args, Category);
   }
 
   TraceSpan(const TraceSpan &) = delete;
   TraceSpan &operator=(const TraceSpan &) = delete;
 
-  /// \returns true when this span will be recorded (lets callers skip
-  /// computing expensive argument values).
-  bool active() const { return Active; }
-
-  void arg(const char *Key, const char *Value) {
-    if (Active)
-      Args.push_back({Key, Value, /*Quoted=*/true});
-  }
+  void arg(const char *Key, const char *Value);
   void arg(const char *Key, const std::string &Value) {
-    if (Active)
-      Args.push_back({Key, Value, /*Quoted=*/true});
+    arg(Key, Value.c_str());
   }
-  void arg(const char *Key, std::int64_t Value) {
-    if (Active)
-      Args.push_back({Key, std::to_string(Value), /*Quoted=*/false});
-  }
-  void arg(const char *Key, std::uint64_t Value) {
-    if (Active)
-      Args.push_back({Key, std::to_string(Value), /*Quoted=*/false});
-  }
+  void arg(const char *Key, std::int64_t Value);
+  void arg(const char *Key, std::uint64_t Value);
 
 private:
+  /// Appends one `key TAG value END` record.
+  void put(const char *Key, char Tag, const char *Value);
+
   const char *Name;
   const char *Category;
-  bool Active;
-  bool Flight; ///< also land in the always-on flight recorder
   std::uint64_t StartNs;
-  std::vector<detail::TraceArg> Args;
+  std::size_t Len = 0;
+  char Args[kFlightTextSize]; ///< NUL-terminated at Len
 };
 
 } // namespace se2gis

@@ -543,11 +543,9 @@ Enumerator::synthesizeScalar(const TypePtr &OutTy,
   Stopwatch Watch;
   auto R = enumerateScalar(OutTy, Examples, MaxSize, Budget);
   perfRecordNs(PerfHistogram::EnumRoundNs, Watch.elapsedNs());
-  if (Span.active()) {
-    Span.arg("examples", static_cast<std::uint64_t>(Examples.size()));
-    Span.arg("max_size", static_cast<std::int64_t>(MaxSize));
-    Span.arg("found", R ? "yes" : "no");
-  }
+  Span.arg("examples", static_cast<std::uint64_t>(Examples.size()));
+  Span.arg("max_size", static_cast<std::int64_t>(MaxSize));
+  Span.arg("found", R ? "yes" : "no");
   if (HaveKey) {
     if (R) {
       std::string Text = termToText(*R, Leaves);

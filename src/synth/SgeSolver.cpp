@@ -359,10 +359,8 @@ SgeResult SgeSolver::solve(const Sge &System, const Deadline &Budget) {
   const int MaxRounds = 64;
   for (int Round = 0; Round < MaxRounds; ++Round) {
     TraceSpan Span("sge.round", "sge");
-    if (Span.active()) {
-      Span.arg("round", static_cast<std::int64_t>(Round));
-      Span.arg("points", static_cast<std::uint64_t>(Points.size()));
-    }
+    Span.arg("round", static_cast<std::int64_t>(Round));
+    Span.arg("points", static_cast<std::uint64_t>(Points.size()));
     if (Budget.expired()) {
       Result.Solution = std::move(Candidate); // partial: last candidate tried
       return Result;

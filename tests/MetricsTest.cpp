@@ -3,11 +3,12 @@
 /// \file
 /// Tests for the operability layer: the Prometheus text renderer (header
 /// uniqueness, label escaping, cumulative histogram buckets, counter
-/// monotonicity across scrapes), the always-on flight recorder (ring
-/// overwrite accounting, JSON validity, reset), the mutex-guarded progress
-/// board, and the service-level wiring — the `metrics` protocol method,
-/// request-id echo on every response, gauge consistency with `stats`, and
-/// the flight dump a Timeout job leaves behind.
+/// monotonicity across scrapes), the always-on flight recorder (JSON
+/// validity, reset; ring overwrite and hand-off are in TraceTest), the
+/// mutex-guarded progress board, and the service-level wiring — the
+/// `metrics` protocol method, request-id echo on every response, gauge
+/// consistency with `stats`, and the flight dump a Timeout job leaves
+/// behind.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -197,7 +198,7 @@ TEST(ProcessMetrics, CountersAreMonotonicAcrossScrapes) {
   EXPECT_GE(metricValue(W2.str(), "se2gis_gen_shrink_accepted_total"), 0);
   EXPECT_GE(metricValue(W2.str(), "se2gis_cache_smt_hits_total"), 0);
   EXPECT_GE(metricValue(W2.str(), "se2gis_smt_check_seconds_count"), 1);
-  EXPECT_GE(metricValue(W2.str(), "se2gis_flight_enabled"), 0);
+  EXPECT_GE(metricValue(W2.str(), "se2gis_flight_events_total"), 0);
 }
 
 namespace {
@@ -333,10 +334,9 @@ TEST(TelemetryRegistry, ScrapeHasOneHelpPerFamily) {
 //===----------------------------------------------------------------------===//
 
 TEST(FlightRecorder, RecordsAndDumpsValidJson) {
-  flightConfigure(true);
   std::uint64_t Before = flightRecordedEvents();
   flightRecord(FlightKind::Mark, "test.mark", 1000, 0, 7, "hello \"quoted\"");
-  flightRecord(FlightKind::Span, "test.span", 2000, 500, 0, "cat");
+  flightRecord(FlightKind::Span, "test.span", 2000, 500, 0, nullptr, "cat");
   EXPECT_GE(flightRecordedEvents(), Before + 2);
 
   std::ostringstream OS;
@@ -359,40 +359,7 @@ TEST(FlightRecorder, RecordsAndDumpsValidJson) {
   EXPECT_TRUE(SawSpan);
 }
 
-TEST(FlightRecorder, RingOverwritesOldestAndCounts) {
-  flightConfigure(true, /*RingCapacity=*/64);
-  // A fresh thread gets a fresh (small) ring; overflow it.
-  std::uint64_t OverBefore = flightOverwrittenEvents();
-  std::thread T([&] {
-    for (int I = 0; I < 200; ++I)
-      flightRecord(FlightKind::Mark, "overflow.mark",
-                   static_cast<std::uint64_t>(I), 0,
-                   static_cast<std::uint64_t>(I));
-  });
-  T.join();
-  EXPECT_GE(flightOverwrittenEvents(), OverBefore + (200 - 64));
-
-  // The dump still parses and holds at most the ring's worth of
-  // overflow.marks.
-  std::ostringstream OS;
-  flightWriteJson(OS);
-  JsonValue V;
-  std::string Error;
-  ASSERT_TRUE(JsonValue::parse(OS.str(), V, Error)) << Error;
-  // Restore the default ring size for other tests' fresh threads.
-  flightConfigure(true, 4096);
-}
-
-TEST(FlightRecorder, DisabledPathRecordsNothing) {
-  flightConfigure(false);
-  std::uint64_t Before = flightRecordedEvents();
-  flightRecord(FlightKind::Mark, "while.disabled", 1, 0);
-  EXPECT_EQ(flightRecordedEvents(), Before);
-  flightConfigure(true);
-}
-
 TEST(FlightRecorder, ResetClearsBufferedEvents) {
-  flightConfigure(true);
   flightRecord(FlightKind::Mark, "pre.reset", 1, 0);
   flightReset();
   std::ostringstream OS;

@@ -1,9 +1,9 @@
-//===- TraceTest.cpp - Span tracer and structured logger tests ------------===//
+//===- TraceTest.cpp - Span tracer, flight recorder and logger tests ------===//
 ///
 /// \file
-/// Covers the observability layer: TraceSpan recording and nesting,
-/// ring-buffer overflow semantics (dropped and counted, never crashing or
-/// reallocating), the Chrome trace_event JSON export — including its shape
+/// Covers the observability layer: TraceSpan recording into the flight
+/// recorder (args, escaping, nesting), ring overwrite and ring hand-off
+/// between threads, the Chrome trace_event JSON dump — including its shape
 /// under a concurrent suite run — and the logger's level parsing and
 /// thread-id assignment.
 ///
@@ -11,12 +11,13 @@
 
 #include "support/Trace.h"
 
+#include "service/Json.h"
 #include "support/Log.h"
 #include "suite/Runner.h"
 
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -25,100 +26,103 @@ using namespace se2gis;
 
 namespace {
 
-/// Each test starts from a clean tracer: empty buffers, zero drops, a large
-/// default capacity, tracing on with no flush path; and ends with it off.
+/// Each test starts from empty rings.
 class TraceTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    traceConfigure("", /*BufferCapacity=*/16384);
-    traceReset();
-  }
-  void TearDown() override {
-    traceDisable();
-    traceReset();
-  }
+  void SetUp() override { flightReset(); }
 };
 
-/// A minimal structural JSON scanner: verifies balanced braces/brackets and
-/// properly terminated strings — enough to reject truncated or unescaped
-/// output without a JSON library.
-bool looksLikeValidJson(const std::string &S) {
-  int Depth = 0;
-  bool InString = false, Escaped = false;
-  for (char C : S) {
-    if (InString) {
-      if (Escaped)
-        Escaped = false;
-      else if (C == '\\')
-        Escaped = true;
-      else if (C == '"')
-        InString = false;
-      continue;
-    }
-    switch (C) {
-    case '"':
-      InString = true;
-      break;
-    case '{':
-    case '[':
-      ++Depth;
-      break;
-    case '}':
-    case ']':
-      if (--Depth < 0)
-        return false;
-      break;
-    default:
-      break;
-    }
-  }
-  return Depth == 0 && !InString;
+/// Dumps the flight recorder and parses it strictly.
+JsonValue dumpJson() {
+  std::ostringstream OS;
+  flightWriteJson(OS);
+  JsonValue V;
+  std::string Error;
+  EXPECT_TRUE(JsonValue::parse(OS.str(), V, Error)) << Error << "\n"
+                                                    << OS.str();
+  return V;
 }
 
-size_t countOccurrences(const std::string &Haystack,
-                        const std::string &Needle) {
-  size_t N = 0;
-  for (size_t At = Haystack.find(Needle); At != std::string::npos;
-       At = Haystack.find(Needle, At + Needle.size()))
-    ++N;
-  return N;
+/// The dumped events named \p Name.
+std::vector<JsonValue> eventsNamed(const JsonValue &Dump,
+                                   const std::string &Name) {
+  std::vector<JsonValue> Out;
+  if (const JsonValue *Events = Dump.get("traceEvents"))
+    for (const JsonValue &E : Events->items())
+      if (E.getString("name") == Name)
+        Out.push_back(E);
+  return Out;
 }
 
-TEST_F(TraceTest, DisabledSpanRecordsNothing) {
-  traceDisable();
-  {
-    TraceSpan Span("noop", "test");
-    EXPECT_FALSE(Span.active());
-    Span.arg("k", "v"); // must be inert, not crash
-  }
-  EXPECT_EQ(traceRecordedEvents(), 0u);
+std::string argString(const JsonValue &E, const std::string &Key) {
+  const JsonValue *Args = E.get("args");
+  return Args ? Args->getString(Key) : "";
+}
+
+std::int64_t argInt(const JsonValue &E, const std::string &Key) {
+  const JsonValue *Args = E.get("args");
+  return Args ? Args->getInt(Key, -1) : -1;
 }
 
 TEST_F(TraceTest, RecordsSpanWithArgs) {
   {
     TraceSpan Span("unit.work", "test");
-    ASSERT_TRUE(Span.active());
     Span.arg("name", "bench/a");
     Span.arg("round", static_cast<std::int64_t>(3));
+    Span.arg("neg", static_cast<std::int64_t>(-42));
+    Span.arg("big", static_cast<std::uint64_t>(18446744073709551615ull));
   }
-  EXPECT_EQ(traceRecordedEvents(), 1u);
-  std::ostringstream OS;
-  traceWriteJson(OS);
-  std::string J = OS.str();
-  EXPECT_TRUE(looksLikeValidJson(J)) << J;
-  EXPECT_NE(J.find("\"unit.work\""), std::string::npos);
-  EXPECT_NE(J.find("\"name\":\"bench/a\""), std::string::npos);
-  EXPECT_NE(J.find("\"round\":3"), std::string::npos);
+  std::vector<JsonValue> Spans = eventsNamed(dumpJson(), "unit.work");
+  ASSERT_EQ(Spans.size(), 1u);
+  const JsonValue &S = Spans[0];
+  EXPECT_EQ(S.getString("cat"), "test");
+  EXPECT_EQ(S.getString("ph"), "X");
+  EXPECT_EQ(argString(S, "name"), "bench/a");
+  EXPECT_EQ(argInt(S, "round"), 3);
+  EXPECT_EQ(argInt(S, "neg"), -42);
+  const JsonValue *Big = S.get("args")->get("big");
+  ASSERT_NE(Big, nullptr);
+  EXPECT_TRUE(Big->isNumber());
+  EXPECT_EQ(argInt(S, "rid"), 0);
 }
 
 TEST_F(TraceTest, ArgValuesAreEscaped) {
   {
-    TraceSpan Span("escape", "test");
+    TraceSpan Span("escape", "te\"st");
     Span.arg("payload", std::string("a\"b\\c\nd"));
   }
-  std::ostringstream OS;
-  traceWriteJson(OS);
-  EXPECT_TRUE(looksLikeValidJson(OS.str())) << OS.str();
+  std::vector<JsonValue> Spans = eventsNamed(dumpJson(), "escape");
+  ASSERT_EQ(Spans.size(), 1u);
+  EXPECT_EQ(Spans[0].getString("cat"), "te\"st");
+  // Control bytes render as spaces; quotes and backslashes survive.
+  EXPECT_EQ(argString(Spans[0], "payload"), "a\"b\\c d");
+}
+
+TEST_F(TraceTest, ArgsThatDoNotFitAreCutOrDropped) {
+  std::string Long(300, 'x');
+  {
+    TraceSpan Span("overfull", "test");
+    Span.arg("first", static_cast<std::int64_t>(1));
+    Span.arg("long", Long);
+    Span.arg("after", static_cast<std::int64_t>(2)); // no room left
+  }
+  {
+    TraceSpan Span("utf8", "test");
+    Span.arg("pad", std::string(kFlightTextSize - 12, 'p'));
+    Span.arg("u", "\xc3\xa9\xc3\xa9\xc3\xa9"); // éé... must not split
+  }
+  JsonValue Dump = dumpJson();
+  std::vector<JsonValue> Spans = eventsNamed(Dump, "overfull");
+  ASSERT_EQ(Spans.size(), 1u);
+  EXPECT_EQ(argInt(Spans[0], "first"), 1);
+  std::string Cut = argString(Spans[0], "long");
+  EXPECT_FALSE(Cut.empty());
+  EXPECT_LT(Cut.size(), Long.size());
+  EXPECT_EQ(Cut, std::string(Cut.size(), 'x'));
+  EXPECT_EQ(Spans[0].get("args")->get("after"), nullptr);
+  std::vector<JsonValue> Utf8 = eventsNamed(Dump, "utf8");
+  ASSERT_EQ(Utf8.size(), 1u);
+  EXPECT_EQ(argString(Utf8[0], "u"), "\xc3\xa9");
 }
 
 TEST_F(TraceTest, NestedSpansAreContained) {
@@ -128,44 +132,54 @@ TEST_F(TraceTest, NestedSpansAreContained) {
     { TraceSpan Inner("inner", "test"); }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(traceRecordedEvents(), 2u);
-  std::ostringstream OS;
-  traceWriteJson(OS);
-  std::string J = OS.str();
-  // Events are sorted by start time per thread: outer starts first, and its
-  // duration must cover the inner span entirely.
-  size_t OuterAt = J.find("\"outer\"");
-  size_t InnerAt = J.find("\"inner\"");
-  ASSERT_NE(OuterAt, std::string::npos);
-  ASSERT_NE(InnerAt, std::string::npos);
-  EXPECT_LT(OuterAt, InnerAt);
-  auto NumberAfter = [&](size_t At, const char *Key) {
-    size_t K = J.find(Key, At);
-    EXPECT_NE(K, std::string::npos);
-    return std::atof(J.c_str() + K + std::string(Key).size());
-  };
-  double OuterTs = NumberAfter(OuterAt, "\"ts\":");
-  double OuterDur = NumberAfter(OuterAt, "\"dur\":");
-  double InnerTs = NumberAfter(InnerAt, "\"ts\":");
-  double InnerDur = NumberAfter(InnerAt, "\"dur\":");
+  JsonValue Dump = dumpJson();
+  std::vector<JsonValue> Outer = eventsNamed(Dump, "outer");
+  std::vector<JsonValue> Inner = eventsNamed(Dump, "inner");
+  ASSERT_EQ(Outer.size(), 1u);
+  ASSERT_EQ(Inner.size(), 1u);
+  double OuterTs = Outer[0].getNumber("ts");
+  double OuterDur = Outer[0].getNumber("dur");
+  double InnerTs = Inner[0].getNumber("ts");
+  double InnerDur = Inner[0].getNumber("dur");
+  EXPECT_GE(OuterDur, 5000.0);
   EXPECT_LE(OuterTs, InnerTs);
   EXPECT_GE(OuterTs + OuterDur, InnerTs + InnerDur);
 }
 
-TEST_F(TraceTest, OverflowDropsAndCounts) {
-  // A fresh thread gets a fresh buffer created under the small capacity.
-  traceConfigure("", /*BufferCapacity=*/8);
-  std::uint64_t DroppedBefore = traceDroppedEvents();
-  std::thread T([] {
-    for (int I = 0; I < 50; ++I)
-      TraceSpan Span("flood", "test");
+TEST_F(TraceTest, RingOverwritesOldestAndCounts) {
+  const std::uint64_t N = kFlightRingCapacity + 100;
+  std::uint64_t OverBefore = flightOverwrittenEvents();
+  std::thread T([N] {
+    for (std::uint64_t I = 0; I < N; ++I)
+      flightRecord(FlightKind::Mark, "overflow.mark", I + 1, 0, I);
   });
   T.join();
-  EXPECT_GE(traceDroppedEvents() - DroppedBefore, 42u);
-  std::ostringstream OS;
-  traceWriteJson(OS);
-  EXPECT_TRUE(looksLikeValidJson(OS.str()));
-  EXPECT_NE(OS.str().find("\"dropped_events\":"), std::string::npos);
+  EXPECT_GE(flightOverwrittenEvents(), OverBefore + 100);
+  JsonValue Dump = dumpJson();
+  std::vector<JsonValue> Marks = eventsNamed(Dump, "overflow.mark");
+  // The ring keeps exactly its newest kFlightRingCapacity events.
+  ASSERT_EQ(Marks.size(), kFlightRingCapacity);
+  EXPECT_EQ(argInt(Marks.front(), "a0"), 100);
+  EXPECT_EQ(argInt(Marks.back(), "a0"), static_cast<std::int64_t>(N - 1));
+  const JsonValue *Other = Dump.get("otherData");
+  ASSERT_NE(Other, nullptr);
+  EXPECT_GE(Other->getInt("overwritten_events"), 100);
+}
+
+TEST_F(TraceTest, ExitedThreadsHandTheirRingsOn) {
+  // Far more threads than the ring table holds, one after another: each
+  // takes the ring the last one handed back on exit.
+  for (std::uint64_t I = 0; I < 600; ++I) {
+    std::thread T(
+        [I] { flightRecord(FlightKind::Mark, "handoff.mark", I + 1, 0, I); });
+    T.join();
+  }
+  std::vector<JsonValue> Marks = eventsNamed(dumpJson(), "handoff.mark");
+  ASSERT_FALSE(Marks.empty());
+  bool SawLast = false;
+  for (const JsonValue &M : Marks)
+    SawLast |= argInt(M, "a0") == 599;
+  EXPECT_TRUE(SawLast);
 }
 
 TEST_F(TraceTest, ConcurrentThreadsGetSeparateTracks) {
@@ -177,13 +191,19 @@ TEST_F(TraceTest, ConcurrentThreadsGetSeparateTracks) {
     });
   for (std::thread &T : Ts)
     T.join();
-  EXPECT_EQ(traceRecordedEvents(), 40u);
-  std::ostringstream OS;
-  traceWriteJson(OS);
-  std::string J = OS.str();
-  EXPECT_TRUE(looksLikeValidJson(J)) << J;
-  // One thread_name metadata record per distinct recording thread.
-  EXPECT_GE(countOccurrences(J, "\"thread_name\""), 4u);
+  JsonValue Dump = dumpJson();
+  std::vector<JsonValue> Ops = eventsNamed(Dump, "worker.op");
+  EXPECT_EQ(Ops.size(), 40u);
+  std::set<std::int64_t> Tids;
+  for (const JsonValue &E : Ops)
+    Tids.insert(E.getInt("tid"));
+  EXPECT_EQ(Tids.size(), 4u);
+  // Every track the spans use is named by a thread_name record.
+  std::set<std::int64_t> Named;
+  for (const JsonValue &M : eventsNamed(Dump, "thread_name"))
+    Named.insert(M.getInt("tid"));
+  for (std::int64_t Tid : Tids)
+    EXPECT_TRUE(Named.count(Tid)) << Tid;
 }
 
 TEST_F(TraceTest, SuiteRunProducesSpansPerCategory) {
@@ -196,18 +216,23 @@ TEST_F(TraceTest, SuiteRunProducesSpansPerCategory) {
   std::vector<SuiteRecord> Records = runSuite(Opts);
   ASSERT_GE(Records.size(), 2u);
 
-  std::ostringstream OS;
-  traceWriteJson(OS);
-  std::string J = OS.str();
-  EXPECT_TRUE(looksLikeValidJson(J));
+  JsonValue Dump = dumpJson();
   // The instrumented stack must have produced at least one span in each of
   // the core categories, across multiple benchmarks and SMT queries.
-  EXPECT_GE(countOccurrences(J, "\"suite.run\""), Records.size());
-  EXPECT_GE(countOccurrences(J, "\"se2gis.round\""), 1u);
-  EXPECT_GE(countOccurrences(J, "\"smt.checkSat\""), 1u);
-  EXPECT_NE(J.find("\"cat\":\"round\""), std::string::npos);
-  EXPECT_NE(J.find("\"cat\":\"smt\""), std::string::npos);
-  EXPECT_NE(J.find("\"verdict\""), std::string::npos);
+  std::vector<JsonValue> Runs = eventsNamed(Dump, "suite.run");
+  EXPECT_GE(Runs.size(), Records.size());
+  for (const JsonValue &R : Runs) {
+    EXPECT_EQ(R.getString("cat"), "suite");
+    EXPECT_FALSE(argString(R, "benchmark").empty());
+    EXPECT_FALSE(argString(R, "verdict").empty());
+  }
+  std::vector<JsonValue> Rounds = eventsNamed(Dump, "se2gis.round");
+  ASSERT_GE(Rounds.size(), 1u);
+  EXPECT_EQ(Rounds[0].getString("cat"), "round");
+  std::vector<JsonValue> Checks = eventsNamed(Dump, "smt.checkSat");
+  ASSERT_GE(Checks.size(), 1u);
+  EXPECT_EQ(Checks[0].getString("cat"), "smt");
+  EXPECT_FALSE(argString(Checks[0], "verdict").empty());
 }
 
 } // namespace
