@@ -23,12 +23,12 @@
 #      the persistent store intact on disk.
 #   7. Shared cache tier: a se2gis_cached daemon warms a two-node fleet —
 #      node A's solves populate the daemon, node B's first solves of the
-#      same benchmarks report remote-cache hits with verdict parity
-#      against the direct CLI; kill -9 of the daemon mid-run degrades
-#      node B to local-only with zero failed or changed verdicts; a few
-#      se2gis_fuzz --gen-seed cases run the remote matrix column; and the
-#      cached daemon restarted on the same store directory reports the
-#      warm entries before a clean client-driven drain.
+#      same benchmarks report remote-cache hits (and no remote errors)
+#      with verdict parity against the direct CLI; kill -9 of the daemon
+#      mid-run degrades node B to local-only with zero failed or changed
+#      verdicts; a few se2gis_fuzz --gen-seed cases run the remote matrix
+#      column; and the cached daemon restarted on the same store directory
+#      reports the warm entries before a clean client-driven drain.
 #
 # Usage: scripts/stress_service.sh [build-dir] [clients] [jobs-per-client]
 #   build-dir        default: build
@@ -320,6 +320,12 @@ B_REMOTE_HITS=$(awk '$1 == "se2gis_cache_remote_hits_total" {print int($2)}' "$W
 if [ -z "$B_REMOTE_HITS" ] || [ "$B_REMOTE_HITS" -eq 0 ]; then
   echo "[stress] FAIL: node B shows no remote cache hits" >&2
   cat "$WORK/nodeB-metrics.txt" >&2
+  exit 1
+fi
+# ... and, the daemon being healthy, no remote errors.
+B_REMOTE_ERRS=$(awk '$1 == "se2gis_cache_remote_errors_total" {print int($2)}' "$WORK/nodeB-metrics.txt")
+if [ "${B_REMOTE_ERRS:-missing}" != 0 ]; then
+  echo "[stress] FAIL: node B counts ${B_REMOTE_ERRS:-no} remote errors against a healthy daemon" >&2
   exit 1
 fi
 CACHED_STATS=$("$CACHED" stats --connect "unix:$CACHED_SOCK")

@@ -16,10 +16,6 @@ SolverConfig SolverConfig::fromEnv(std::int64_t DefaultTimeoutMs) {
     long long V = std::atoll(T);
     if (V > 0)
       C.Algo.TimeoutMs = V;
-  } else if (const char *T = std::getenv("SE2GIS_TIMEOUT")) {
-    long long V = std::atoll(T);
-    if (V > 0)
-      C.Algo.TimeoutMs = V * 1000;
   }
   if (const char *S = std::getenv("SE2GIS_SEED")) {
     long long V = std::atoll(S);
@@ -83,8 +79,6 @@ SolverConfig SolverConfig::fromEnv(std::int64_t DefaultTimeoutMs) {
       userError(std::string("SE2GIS_LOG: unknown log level '") + L +
                 "' (expected error, warn, info, or debug)");
     C.Log.Level = *Level;
-  } else if (std::getenv("SE2GIS_DEBUG")) {
-    C.Log.Level = LogLevel::Debug;
   }
   if (const char *J = std::getenv("SE2GIS_LOG_JSON"))
     C.Log.JsonPath = J;

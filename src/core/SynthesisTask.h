@@ -58,9 +58,8 @@ struct SolverConfig {
   std::uint64_t GenSeed = 0;
 
   /// Builds a config from the environment (the only SE2GIS_* reader):
-  ///  - SE2GIS_TIMEOUT_MS — overall budget in milliseconds, or
-  ///    SE2GIS_TIMEOUT — the same in seconds (TIMEOUT_MS wins when both
-  ///    are set). Values <= 0 leave the default \p DefaultTimeoutMs.
+  ///  - SE2GIS_TIMEOUT_MS — overall budget in milliseconds. Values <= 0
+  ///    leave the default \p DefaultTimeoutMs.
   ///  - SE2GIS_SEED — Z3 random seed (0 = Z3's default).
   ///  - SE2GIS_GEN_SEED — benchmark-generator stream seed (see GenSeed).
   ///  - SE2GIS_SMT_INCREMENTAL — "on" (default) or "off"; off restores
@@ -76,8 +75,7 @@ struct SolverConfig {
   ///    — the disk-mode store directory (default ./.se2gis-cache). Throws
   ///    UserError on an unparsable mode or an unusable cache directory.
   ///  - SE2GIS_LOG — log level (error|warn|info|debug; throws UserError on
-  ///    anything else); SE2GIS_LOG_JSON — JSONL log sink path. The legacy
-  ///    SE2GIS_DEBUG=1 implies debug level unless SE2GIS_LOG is set.
+  ///    anything else); SE2GIS_LOG_JSON — JSONL log sink path.
   ///  - SE2GIS_TRACE — trace output path (a dump of the flight recorder).
   static SolverConfig fromEnv(std::int64_t DefaultTimeoutMs = 5000);
 };

@@ -4,9 +4,8 @@
 /// Runs benchmarks under one or more algorithms with a per-(benchmark,
 /// algorithm) deadline and collects the results the table/figure generators
 /// consume. All knobs live in a SolverConfig (core/SynthesisTask.h); the
-/// environment (SE2GIS_TIMEOUT / SE2GIS_TIMEOUT_MS, SE2GIS_FILTER,
-/// SE2GIS_JOBS, SE2GIS_SEED, SE2GIS_PERF_JSON) is only read through
-/// SolverConfig::fromEnv.
+/// environment (SE2GIS_TIMEOUT_MS, SE2GIS_FILTER, SE2GIS_JOBS, SE2GIS_SEED,
+/// SE2GIS_PERF_JSON) is only read through SolverConfig::fromEnv.
 ///
 /// (Benchmark, algorithm) pairs execute on a shared thread pool (every
 /// SmtQuery runs on its worker's thread-local Z3 session — or a private

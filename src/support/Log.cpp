@@ -140,8 +140,8 @@ void se2gis::logMessage(LogLevel L, const char *Component,
   std::string Ts = timestampUtc();
   std::lock_guard<std::mutex> Lock(emitMutex());
   // The [r=N] bracket appears only when a request id is bound (service
-  // worker threads); suite/CLI lines keep the four-bracket prefix that
-  // scripts/bench_smoke.sh greps for.
+  // worker threads); suite/CLI lines keep the four-bracket prefix, one
+  // space-free field, so line-oriented tools read the message as fields.
   if (Rid)
     std::fprintf(stderr, "[%s][%s][%s][t=%u][r=%llu] %s\n", Component,
                  logLevelName(L), Ts.c_str(), Tid,

@@ -15,10 +15,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <ranges>
-#include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace se2gis;
@@ -93,39 +90,6 @@ namespace {
 
 constexpr std::uint64_t SignatureSeed = 1469598103934665603ULL;
 
-/// 64-bit observational-equivalence signature: the combined hash of the
-/// term's outputs on every example, by tree walk. The search computes the
-/// same number from a candidate's value vector (\c Search::rowSignature);
-/// this form is its oracle under SE2GIS_CHECK_SIGNATURES.
-std::uint64_t signatureHashOf(const TermPtr &T,
-                              const std::vector<PbeExample> &Examples) {
-  std::uint64_t H = SignatureSeed;
-  for (const PbeExample &Ex : Examples)
-    H = hashCombine(H, valueHash(evalScalarTerm(T, Ex.Inputs)));
-  return H;
-}
-
-/// The old allocation-heavy string signature, kept for the debug
-/// cross-check below.
-std::string signatureStringOf(const TermPtr &T,
-                              const std::vector<PbeExample> &Examples) {
-  std::ostringstream OS;
-  for (const PbeExample &Ex : Examples)
-    OS << evalScalarTerm(T, Ex.Inputs)->str() << '|';
-  return OS.str();
-}
-
-/// SE2GIS_CHECK_SIGNATURES=1 builds every candidate's term and aborts when
-/// its tree-walk signature differs from the value-vector one, or on a
-/// collision (distinct string signatures, equal hash).
-bool checkSignaturesEnabled() {
-  static const bool Enabled = [] {
-    const char *E = std::getenv("SE2GIS_CHECK_SIGNATURES");
-    return E && *E && *E != '0';
-  }();
-  return Enabled;
-}
-
 /// A pool entry: an operator over earlier entries, or an atom (a constant,
 /// boolean literal or leaf; Kids[0] indexes the atom table). Operands of
 /// arithmetic and comparisons are Int-pool ids; those of Not/And/Or are
@@ -154,8 +118,6 @@ struct Pool {
   /// Start[S] is the first id of size S.
   std::vector<std::uint32_t> Start;
   std::unordered_set<std::uint64_t> Seen;
-  /// Debug collision oracle: hash -> string signature.
-  std::unordered_map<std::uint64_t, std::string> Oracle;
 };
 
 /// One bottom-up search. A candidate is evaluated once over all examples,
@@ -169,8 +131,7 @@ public:
          int MaxSize, const Deadline &Budget)
       : Config(Config), Leaves(Leaves), Examples(Examples), MaxSize(MaxSize),
         Budget(Budget), N(Examples.size()), Scratch(N), Int(false, MaxSize),
-        Bool(true, MaxSize), Want(OutTy->isInt() ? &Int : &Bool),
-        CheckSignatures(checkSignaturesEnabled()) {
+        Bool(true, MaxSize), Want(OutTy->isInt() ? &Int : &Bool) {
     for (const PbeExample &Ex : Examples) {
       Target = hashCombine(Target, valueHash(Ex.Output));
       if (Want->IsBool ? !Ex.Output->isBool() : !Ex.Output->isInt())
@@ -225,8 +186,6 @@ private:
     if (!Bound)
       return false;
     std::uint64_t Sig = rowSignature(P.IsBool);
-    if (CheckSignatures)
-      checkSignature(P, Nd, Sig);
     if (!P.Seen.insert(Sig).second) {
       ++Pruned;
       return false;
@@ -244,7 +203,8 @@ private:
     return false;
   }
 
-  /// The signature of the Scratch row: exactly \c signatureHashOf.
+  /// The observational-equivalence signature of the Scratch row: the
+  /// combined hash of the candidate's output on every example.
   std::uint64_t rowSignature(bool IsBool) const {
     std::uint64_t H = SignatureSeed;
     if (IsBool)
@@ -254,18 +214,6 @@ private:
       for (long long V : Scratch)
         H = hashCombine(H, intValueHash(V));
     return H;
-  }
-
-  void checkSignature(Pool &P, const Node &Nd, std::uint64_t Sig) {
-    TermPtr T = termOf(Nd);
-    if (signatureHashOf(T, Examples) != Sig)
-      fatalError("value-vector signature differs from the tree walk's for " +
-                 T->str());
-    std::string Str = signatureStringOf(T, Examples);
-    auto [It, Fresh] = P.Oracle.emplace(Sig, Str);
-    if (!Fresh && It->second != Str)
-      fatalError("observational-equivalence hash collision: \"" + It->second +
-                 "\" vs \"" + Str + "\"");
   }
 
   const long long *row(const Pool &P, std::uint32_t Id) const {
@@ -443,7 +391,6 @@ private:
   std::uint64_t Target = SignatureSeed;
   std::vector<long long> TargetRow;
   bool TargetFits = true;
-  bool CheckSignatures;
   PollGate Gate;
   bool Expired = false;
   std::optional<Node> Winner;

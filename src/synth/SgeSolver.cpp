@@ -18,8 +18,7 @@
 
 using namespace se2gis;
 
-// The CEGIS loop narrates itself at debug verbosity (SE2GIS_LOG=debug, or
-// the legacy SE2GIS_DEBUG=1 which SolverConfig::fromEnv maps onto it).
+// The CEGIS loop narrates itself at debug verbosity (SE2GIS_LOG=debug).
 
 // --- Sge printing -------------------------------------------------------===//
 

@@ -16,6 +16,7 @@
 #include "cache/TermIO.h"
 #include "core/SynthesisTask.h"
 #include "smt/Solver.h"
+#include "suite/Runner.h"
 #include "support/Diagnostics.h"
 #include "support/PerfCounters.h"
 #include "support/ThreadPool.h"
@@ -503,6 +504,45 @@ TEST_F(CacheTest, DiskModePersistsSmtVerdictsAcrossReconfiguration) {
   EXPECT_EQ(M2.lookup(Z->Id)->getInt(), 7);
   PerfSnapshot Delta = snapshotPerf().since(Before);
   EXPECT_GE(Delta.get(PerfCounter::CacheSmtHits), 1u);
+}
+
+// The suite-level warm start: a second disk-mode sweep in a fresh process
+// takes every Realizable verdict from the "suite" segment (re-verified, so
+// the SMT segment pays off too) and reaches the same verdicts.
+TEST_F(CacheTest, SuiteDiskWarmStartReusesVerifiedSolutions) {
+  SuiteOptions Opts;
+  Opts.Config.Algo.TimeoutMs = 20000;
+  Opts.Config.Filter = "sortedlist/m"; // min, max, min_max
+  Opts.Config.Jobs = 2;
+  Opts.Config.Verbose = false;
+  Opts.Config.Cache.Mode = CacheMode::Disk;
+  Opts.Config.Cache.Dir = freshDir("suite");
+
+  PerfSnapshot Before = snapshotPerf();
+  std::vector<SuiteRecord> Cold = runSuite(Opts);
+  PerfSnapshot ColdDelta = snapshotPerf().since(Before);
+  ASSERT_GE(Cold.size(), 2u) << "filter no longer matches a sub-suite";
+  EXPECT_GT(ColdDelta.hist(PerfHistogram::SmtCheckNs).Count, 0u);
+
+  shutdownCache(); // a fresh process: only the store on disk remains
+  Before = snapshotPerf();
+  std::vector<SuiteRecord> Warm = runSuite(Opts);
+  PerfSnapshot WarmDelta = snapshotPerf().since(Before);
+
+  ASSERT_EQ(Cold.size(), Warm.size());
+  std::uint64_t Realizable = 0;
+  for (size_t I = 0; I < Cold.size(); ++I) {
+    SCOPED_TRACE(Cold[I].Def->Name);
+    EXPECT_EQ(Cold[I].Result.V, Warm[I].Result.V);
+    if (Warm[I].Result.V == Verdict::Realizable) {
+      ++Realizable;
+      EXPECT_EQ(Warm[I].Result.Ev.Source, VerdictSource::Cache)
+          << Warm[I].Result.Detail;
+    }
+  }
+  EXPECT_GT(Realizable, 0u);
+  EXPECT_EQ(WarmDelta.get(PerfCounter::CacheSuiteHits), Realizable);
+  EXPECT_GT(WarmDelta.get(PerfCounter::CacheSmtHits), 0u);
 }
 
 // --- Configuration ------------------------------------------------------===//

@@ -168,9 +168,13 @@ TEST(ChcChannelTest, RaceAgreesWithWitnessOnUnrealizable) {
   AlgoOptions Opts;
   Opts.TimeoutMs = 20000;
   Opts.Unreal = UnrealMode::Race;
+  PerfSnapshot Before = snapshotPerf();
   Outcome R = runAlgorithm(AlgorithmKind::SEGIS, P, Opts);
+  PerfSnapshot Delta = snapshotPerf().since(Before);
   EXPECT_EQ(R.V, Verdict::Unrealizable) << R.Detail;
   EXPECT_EQ(R.Ev.Source, VerdictSource::Chc);
+  EXPECT_GT(Delta.get(PerfCounter::ChcQueries), 0u);
+  EXPECT_GE(Delta.get(PerfCounter::ChcRaceWins), 1u);
 }
 
 // --- Budgets and cancellation -------------------------------------------===//

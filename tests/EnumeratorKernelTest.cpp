@@ -5,7 +5,10 @@
 /// keeps the earlier tree-walk search (every candidate a term, every
 /// signature an \c evalScalarTerm walk per example) as its reference and
 /// requires the same answer and the same candidate and pruned counts over
-/// seeded random example tables.
+/// seeded random example tables. The reference also keeps each hashed
+/// signature's exact string form and fails on a collision: two candidates
+/// with distinct outputs and one signature, of which pruning would drop
+/// the second.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +22,7 @@
 
 #include <atomic>
 #include <random>
-#include <unordered_set>
+#include <unordered_map>
 
 using namespace se2gis;
 
@@ -31,11 +34,18 @@ struct Outcome {
   std::uint64_t Pruned = 0;
 };
 
+/// The term's signature by tree walk: the combined hash of its output on
+/// every example, and in \p Exact the outputs themselves, printed.
 std::uint64_t treeWalkSignature(const TermPtr &T,
-                                const std::vector<PbeExample> &Examples) {
+                                const std::vector<PbeExample> &Examples,
+                                std::string &Exact) {
   std::uint64_t H = 1469598103934665603ULL;
-  for (const PbeExample &Ex : Examples)
-    H = hashCombine(H, valueHash(evalScalarTerm(T, Ex.Inputs)));
+  for (const PbeExample &Ex : Examples) {
+    ValuePtr V = evalScalarTerm(T, Ex.Inputs);
+    H = hashCombine(H, valueHash(V));
+    Exact += V->str();
+    Exact += '|';
+  }
   return H;
 }
 
@@ -54,7 +64,8 @@ Outcome referenceSearch(const GrammarConfig &Config,
 
   std::vector<std::vector<TermPtr>> IntPool(MaxSize + 1);
   std::vector<std::vector<TermPtr>> BoolPool(MaxSize + 1);
-  std::unordered_set<std::uint64_t> SeenInt, SeenBool;
+  /// Seen signatures, each with the exact outputs it was first seen for.
+  std::unordered_map<std::uint64_t, std::string> SeenInt, SeenBool;
   std::optional<TermPtr> &Found = Out.Found;
 
   auto MatchesTarget = [&](const TermPtr &T) {
@@ -77,13 +88,18 @@ Outcome referenceSearch(const GrammarConfig &Config,
     ++Out.Candidates;
     bool IsInt = T->getType()->isInt();
     std::uint64_t Sig;
+    std::string Exact;
     try {
-      Sig = treeWalkSignature(T, Examples);
+      Sig = treeWalkSignature(T, Examples, Exact);
     } catch (const UserError &) {
       return false;
     }
-    auto &Seen = IsInt ? SeenInt : SeenBool;
-    if (!Seen.insert(Sig).second) {
+    auto [It, Fresh] = (IsInt ? SeenInt : SeenBool).emplace(Sig, Exact);
+    if (!Fresh) {
+      if (It->second != Exact)
+        ADD_FAILURE() << "observational-equivalence hash collision: \""
+                      << It->second << "\" vs \"" << Exact << "\" ("
+                      << T->str() << ")";
       ++Out.Pruned;
       return false;
     }
