@@ -4,8 +4,8 @@
 
 #include "chc/ChcEncoder.h"
 #include "chc/FixedpointSolver.h"
+#include "core/RunScope.h"
 #include "support/Progress.h"
-#include "support/Stopwatch.h"
 #include "support/Trace.h"
 #include "synth/Grammar.h"
 
@@ -14,11 +14,8 @@
 using namespace se2gis;
 
 Outcome se2gis::runChcChannel(const Problem &P, const AlgoOptions &Opts) {
-  Stopwatch Timer;
-  Deadline Budget = Deadline::afterMs(Opts.TimeoutMs);
-  Budget.setToken(Opts.Token);
-  PerfSnapshot PerfBefore = snapshotPerf();
-  PhaseSnapshot PhaseBefore = phaseSnapshot();
+  RunScope Run(Opts);
+  const Deadline &Budget = Run.budget();
   Outcome Result;
 
   GrammarConfig Grammar = inferGrammar(P);
@@ -108,10 +105,5 @@ Outcome se2gis::runChcChannel(const Problem &P, const AlgoOptions &Opts) {
     break;
   }
 
-  if (Result.V == Verdict::Failed && Budget.expired())
-    Result.V = Verdict::Timeout;
-  Result.Stats.ElapsedMs = Timer.elapsedMs();
-  Result.Stats.Perf = snapshotPerf().since(PerfBefore);
-  Result.Stats.Phases = phaseSnapshot().since(PhaseBefore);
-  return Result;
+  return Run.finish(std::move(Result));
 }

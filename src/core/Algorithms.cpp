@@ -9,12 +9,12 @@
 #include "core/InvariantInfer.h"
 #include "core/SplitIte.h"
 #include "core/Portfolio.h"
+#include "core/RunScope.h"
 #include "core/Witness.h"
 #include "eval/Expand.h"
 #include "eval/SymbolicEval.h"
 #include "support/Diagnostics.h"
 #include "support/Progress.h"
-#include "support/Stopwatch.h"
 #include "support/Trace.h"
 #include "synth/Grammar.h"
 #include "synth/SgeSolver.h"
@@ -166,18 +166,8 @@ std::string describeValidInputs(const std::vector<ConcreteInput> &Ins) {
 // --- SE2GIS -------------------------------------------------------------===//
 
 Outcome se2gis::runSE2GIS(const Problem &P, const AlgoOptions &Opts) {
-  Stopwatch Timer;
-  Deadline Budget = Deadline::afterMs(Opts.TimeoutMs);
-  Budget.setToken(Opts.Token);
-  if (Opts.Seed)
-    setSmtRandomSeed(Opts.Seed);
-  setSmtIncremental(Opts.SmtIncremental);
-  // Start every run on a virgin session: solver heuristic state carried
-  // across runs would make a benchmark's trajectory depend on sweep order
-  // (and diverge from a standalone CLI run of the same problem).
-  resetThreadSmtSession();
-  PerfSnapshot PerfBefore = snapshotPerf();
-  PhaseSnapshot PhaseBefore = phaseSnapshot();
+  RunScope Run(Opts);
+  const Deadline &Budget = Run.budget();
   Outcome Result;
 
   GrammarConfig Grammar = inferGrammar(P);
@@ -189,8 +179,7 @@ Outcome se2gis::runSE2GIS(const Problem &P, const AlgoOptions &Opts) {
   Approx.EnableSplitting = !Opts.DisableIteSplitting;
   if (!Approx.initialize()) {
     Result.Detail = "canonical term construction diverged";
-    Result.Stats.ElapsedMs = Timer.elapsedMs();
-    return Result;
+    return Run.finish(std::move(Result));
   }
 
   // Seed the guards with the user's `ensures` hint, if any (an invariant of
@@ -355,38 +344,21 @@ Outcome se2gis::runSE2GIS(const Problem &P, const AlgoOptions &Opts) {
     break;
   }
 
-  if (Result.V == Verdict::Failed && Budget.expired())
-    Result.V = Verdict::Timeout;
-  if (Result.V != Verdict::Timeout)
-    Result.Stats.LastCandidate.clear();
   if (Result.V == Verdict::Realizable || Result.V == Verdict::Unrealizable) {
     Result.Ev.Source = VerdictSource::Witness;
     Result.Ev.Channel = "SE2GIS";
     Result.Ev.Lemmas = static_cast<std::uint64_t>(
         Result.Stats.ImageInvariants + Result.Stats.DatatypeInvariants);
   }
-  Result.Stats.ElapsedMs = Timer.elapsedMs();
-  Result.Stats.Perf = snapshotPerf().since(PerfBefore);
-  Result.Stats.Phases = phaseSnapshot().since(PhaseBefore);
-  return Result;
+  return Run.finish(std::move(Result));
 }
 
 // --- SEGIS / SEGIS+UC ----------------------------------------------------===//
 
 Outcome se2gis::runSEGIS(const Problem &P, const AlgoOptions &Opts,
                            bool WithUnrealizabilityChecker) {
-  Stopwatch Timer;
-  Deadline Budget = Deadline::afterMs(Opts.TimeoutMs);
-  Budget.setToken(Opts.Token);
-  if (Opts.Seed)
-    setSmtRandomSeed(Opts.Seed);
-  setSmtIncremental(Opts.SmtIncremental);
-  // Start every run on a virgin session: solver heuristic state carried
-  // across runs would make a benchmark's trajectory depend on sweep order
-  // (and diverge from a standalone CLI run of the same problem).
-  resetThreadSmtSession();
-  PerfSnapshot PerfBefore = snapshotPerf();
-  PhaseSnapshot PhaseBefore = phaseSnapshot();
+  RunScope Run(Opts);
+  const Deadline &Budget = Run.budget();
   Outcome Result;
 
   GrammarConfig Grammar = inferGrammar(P);
@@ -537,16 +509,11 @@ Outcome se2gis::runSEGIS(const Problem &P, const AlgoOptions &Opts,
     ++Result.Stats.Refinements;
   }
 
-  if (Result.V != Verdict::Timeout)
-    Result.Stats.LastCandidate.clear();
   if (Result.V == Verdict::Realizable || Result.V == Verdict::Unrealizable) {
     Result.Ev.Source = VerdictSource::Witness;
     Result.Ev.Channel = WithUnrealizabilityChecker ? "SEGIS+UC" : "SEGIS";
   }
-  Result.Stats.ElapsedMs = Timer.elapsedMs();
-  Result.Stats.Perf = snapshotPerf().since(PerfBefore);
-  Result.Stats.Phases = phaseSnapshot().since(PhaseBefore);
-  return Result;
+  return Run.finish(std::move(Result));
 }
 
 Outcome se2gis::runAlgorithm(AlgorithmKind K, const Problem &P,

@@ -105,14 +105,15 @@ struct AlgoOptions {
   /// poll once the token is cancelled (an invalid/default token is inert).
   /// The portfolio driver and the suite runner share one token per run.
   CancellationToken Token;
-  /// Z3 random seed applied process-wide (0 = Z3's default). Exposed for
-  /// reproducible sweeps; see setSmtRandomSeed.
+  /// Z3 random seed (0 = Z3's default) of the run's SMT sessions. Exposed
+  /// for reproducible sweeps. Like SmtIncremental it applies to the run's
+  /// thread only: RunScope installs both at run start (each race member on
+  /// its own thread), see resetThreadSmtSession.
   unsigned Seed = 0;
   /// Incremental SMT sessions (DESIGN.md "Incremental SMT model"): queries
   /// run on long-lived per-thread Z3 solvers with push/pop deltas. Off
-  /// restores the fresh-context-per-query model. Applied process-wide at
-  /// run start; see setSmtIncremental. Fed by SE2GIS_SMT_INCREMENTAL /
-  /// --smt-incremental.
+  /// restores the fresh-context-per-query model. Fed by
+  /// SE2GIS_SMT_INCREMENTAL / --smt-incremental.
   bool SmtIncremental = true;
 
   /// Which unrealizability channel(s) to use; see UnrealMode. Fed by
@@ -149,9 +150,10 @@ struct RunStats {
   /// a run's delta includes events of concurrently running jobs; the
   /// per-run numbers are exact only at SE2GIS_JOBS=1.
   PerfSnapshot Perf;
-  /// Where this run's wall time went (eval / SMT / enumeration / induction,
-  /// exclusive attribution — see PhaseScope). Thread-local, so exact even
-  /// under a parallel sweep: each run executes on one worker thread.
+  /// Where this run's wall time went (eval / SMT / enumeration / induction
+  /// / CHC, exclusive attribution — see PhaseScope). Thread-local, so exact
+  /// even under a parallel sweep: each run executes on one worker thread (a
+  /// race reports its winner's phases).
   PhaseSnapshot Phases;
   /// Graceful degradation: when the run times out, the last candidate the
   /// CEGIS loop tried (pretty-printed), so a sweep still shows how far the

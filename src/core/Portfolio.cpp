@@ -3,10 +3,10 @@
 #include "core/Portfolio.h"
 
 #include "chc/ChcChannel.h"
+#include "core/RunScope.h"
 #include "support/Diagnostics.h"
 #include "support/Log.h"
 #include "support/Progress.h"
-#include "support/Stopwatch.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
@@ -46,7 +46,7 @@ Outcome se2gis::runRace(const std::vector<AlgorithmKind> &Members,
                         const Problem &P, const AlgoOptions &Opts) {
   if (Members.empty())
     fatalError("race with no members");
-  Stopwatch Timer;
+  RunScope Run(Opts);
   const size_t N = Members.size();
 
   std::mutex M;
@@ -134,8 +134,7 @@ Outcome se2gis::runRace(const std::vector<AlgorithmKind> &Members,
     Final = *Results[0];
   if (N > 1 && IsConclusive(Final) && Final.Ev.Source == VerdictSource::Chc)
     perfAdd(PerfCounter::ChcRaceWins);
-  Final.Stats.ElapsedMs = Timer.elapsedMs();
-  return Final;
+  return Run.finish(std::move(Final));
 }
 
 Outcome se2gis::runPortfolio(const Problem &P, const AlgoOptions &Opts) {

@@ -24,8 +24,9 @@ namespace se2gis {
 /// verdict (realizable/unrealizable) wins and cancels the losers
 /// cooperatively. On a tie or when nobody concludes, earlier members are
 /// preferred. Members are dispatched to the bare per-algorithm runners, so
-/// no nested race is spawned. The winning member's Evidence is kept; a race
-/// won by the CHC channel bumps the chc_race_wins perf counter.
+/// no nested race is spawned. The winning member's Evidence and phase times
+/// are kept, while ElapsedMs and Perf cover the whole race; a race won by
+/// the CHC channel bumps the chc_race_wins perf counter.
 Outcome runRace(const std::vector<AlgorithmKind> &Members, const Problem &P,
                 const AlgoOptions &Opts);
 

@@ -80,8 +80,6 @@ SolverConfig SolverConfig::fromEnv(std::int64_t DefaultTimeoutMs) {
                 "' (expected error, warn, info, or debug)");
     C.Log.Level = *Level;
   }
-  if (const char *J = std::getenv("SE2GIS_LOG_JSON"))
-    C.Log.JsonPath = J;
   if (const char *T = std::getenv("SE2GIS_TRACE"))
     C.TracePath = T;
   return C;

@@ -31,7 +31,8 @@ struct SolverConfig {
   /// budgets, cancellation token, random seed, and ablation switches.
   AlgoOptions Algo;
   /// Concurrent (benchmark, algorithm) workers for suite sweeps. 0 = auto
-  /// (hardware concurrency); 1 forces the strictly sequential path.
+  /// (hardware concurrency); 1 runs the sweep inline on the calling
+  /// thread.
   unsigned Jobs = 0;
   /// Restrict suite sweeps to benchmarks whose name contains this
   /// substring ("" = all).
@@ -44,8 +45,8 @@ struct SolverConfig {
   /// Memoization subsystem: mode (off/mem/disk) and, for disk, the store
   /// directory (DESIGN.md "Memoization model").
   CacheSettings Cache;
-  /// Leveled logging: admitted level and optional JSONL sink
-  /// (DESIGN.md "Observability model").
+  /// Leveled logging: the admitted level (DESIGN.md "Observability
+  /// model").
   LogSettings Log;
   /// When non-empty, the flight recorder's rings are dumped here as a
   /// Chrome trace_event JSON file at the end of the run / sweep and at
@@ -75,7 +76,7 @@ struct SolverConfig {
   ///    — the disk-mode store directory (default ./.se2gis-cache). Throws
   ///    UserError on an unparsable mode or an unusable cache directory.
   ///  - SE2GIS_LOG — log level (error|warn|info|debug; throws UserError on
-  ///    anything else); SE2GIS_LOG_JSON — JSONL log sink path.
+  ///    anything else).
   ///  - SE2GIS_TRACE — trace output path (a dump of the flight recorder).
   static SolverConfig fromEnv(std::int64_t DefaultTimeoutMs = 5000);
 };

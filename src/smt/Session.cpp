@@ -1,22 +1,14 @@
-//===- Session.cpp - Thread-session pool and incremental toggle ----------===//
+//===- Session.cpp - Per-thread sessions and run settings ----------------===//
 
 #include "smt/Session.h"
 
 #include "smt/Solver.h"
 
-#include <atomic>
 #include <memory>
 
 using namespace se2gis;
 
 namespace {
-
-/// Process-wide toggle for the incremental session layer; see
-/// setSmtIncremental. Off restores the fresh-context-per-query model.
-std::atomic<bool> GSmtIncremental{true};
-
-/// Process-wide Z3 random seed (0 = Z3 default); see setSmtRandomSeed.
-std::atomic<unsigned> GSmtRandomSeed{0};
 
 /// A session is retired after serving this many queries (when no
 /// SmtSessionScope is open): it bounds the memory a long-running worker
@@ -24,10 +16,16 @@ std::atomic<unsigned> GSmtRandomSeed{0};
 constexpr std::uint64_t MaxQueriesPerSession = 512;
 
 /// The per-thread session slot. Generation counts sessions created on this
-/// thread — tests and callers observe recycling through it.
+/// thread — tests and callers observe recycling through it. Seed and
+/// Incremental are the thread's run settings (see resetThreadSmtSession):
+/// the seed every session on this thread is created with, and whether
+/// queries use the thread's session at all (off = a private fresh context
+/// per query).
 struct SessionSlot {
   std::unique_ptr<SmtSession> S;
   std::uint64_t Generation = 0;
+  unsigned Seed = 0;
+  bool Incremental = true;
 };
 
 SessionSlot &threadSlot() {
@@ -37,8 +35,8 @@ SessionSlot &threadSlot() {
 
 /// Open SmtSessionScope nesting depth on this thread. While a scope is
 /// open, the served-query retirement is deferred to scope exit so a tight
-/// CEGIS/witness region keeps its warm solver mid-region; poisoning and
-/// seed changes are never deferred.
+/// CEGIS/witness region keeps its warm solver mid-region; poisoning is
+/// never deferred.
 thread_local unsigned GScopeDepth = 0;
 
 bool overServedBudget(const SmtSession &S) {
@@ -47,45 +45,31 @@ bool overServedBudget(const SmtSession &S) {
 
 } // namespace
 
-void se2gis::setSmtIncremental(bool Enabled) {
-  GSmtIncremental.store(Enabled, std::memory_order_relaxed);
-}
-
-bool se2gis::smtIncrementalEnabled() {
-  return GSmtIncremental.load(std::memory_order_relaxed);
-}
-
-void se2gis::setSmtRandomSeed(unsigned Seed) {
-  GSmtRandomSeed.store(Seed, std::memory_order_relaxed);
-}
-
-unsigned se2gis::currentSmtRandomSeed() {
-  return GSmtRandomSeed.load(std::memory_order_relaxed);
-}
+unsigned se2gis::threadSmtSeed() { return threadSlot().Seed; }
 
 SmtSession *se2gis::acquireThreadSmtSession() {
-  if (!smtIncrementalEnabled())
-    return nullptr;
   SessionSlot &Slot = threadSlot();
+  if (!Slot.Incremental)
+    return nullptr;
   // One live query per session: a nested query would otherwise solve under
   // the outer query's assertions. The caller falls back to a private
   // fresh-context session.
   if (Slot.S && Slot.S->Busy)
     return nullptr;
-  unsigned Seed = currentSmtRandomSeed();
-  if (Slot.S &&
-      (Slot.S->RecyclePending || Slot.S->SeedApplied != Seed ||
-       (GScopeDepth == 0 && overServedBudget(*Slot.S))))
+  if (Slot.S && (Slot.S->RecyclePending ||
+                 (GScopeDepth == 0 && overServedBudget(*Slot.S))))
     Slot.S.reset();
   if (!Slot.S) {
-    Slot.S = std::make_unique<SmtSession>(Seed);
+    Slot.S = std::make_unique<SmtSession>(Slot.Seed);
     ++Slot.Generation;
   }
   return Slot.S.get();
 }
 
-void se2gis::resetThreadSmtSession() {
+void se2gis::resetThreadSmtSession(unsigned Seed, bool Incremental) {
   SessionSlot &Slot = threadSlot();
+  Slot.Seed = Seed;
+  Slot.Incremental = Incremental;
   if (!Slot.S)
     return;
   // A busy session is owned by a live query whose Impl holds a raw pointer
@@ -101,6 +85,7 @@ SmtSessionInfo se2gis::threadSmtSessionInfo() {
   SessionSlot &Slot = threadSlot();
   SmtSessionInfo Info;
   Info.Generation = Slot.Generation;
+  Info.Seed = Slot.Seed;
   if (Slot.S) {
     Info.Live = true;
     Info.Busy = Slot.S->Busy;

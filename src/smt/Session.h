@@ -15,7 +15,7 @@
 /// Sessions are deliberately dumb: all frame bookkeeping, term interning,
 /// and cache keying live in SmtQuery::Impl. The session only carries the
 /// state that must outlive a query (context, solver, serial counters) and
-/// the flags the acquisition policy reads (busy, poisoned, seed).
+/// the flags the acquisition policy reads (busy, poisoned).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +34,11 @@ namespace se2gis {
 class SmtSession {
 public:
   /// Applies a non-zero \p Seed to the solver once, here; the per-query
-  /// budget never touches solver params (see SmtQuery::checkSat).
-  explicit SmtSession(unsigned Seed) : Solver(Ctx), SeedApplied(Seed) {
+  /// budget never touches solver params (see SmtQuery::checkSat). A
+  /// thread's seed changes only through resetThreadSmtSession, which also
+  /// drops the session, so a session is never re-seeded: solver-internal
+  /// random state is not reset by re-applying params.
+  explicit SmtSession(unsigned Seed) : Solver(Ctx) {
     if (Seed) {
       z3::params P(Ctx);
       P.set("random_seed", Seed);
@@ -48,11 +51,6 @@ public:
   z3::context Ctx;
   z3::solver Solver;
 
-  /// The Z3 random seed the constructor applied (0 = Z3 default, nothing
-  /// applied). A later setSmtRandomSeed call makes the next acquisition
-  /// replace the session rather than re-seed it: solver-internal random
-  /// state is not reset by re-applying params.
-  unsigned SeedApplied;
   /// Queries that have attached to this session (reuse = served > 1).
   std::uint64_t QueriesServed = 0;
   /// Makes soft-assumption indicator names unique across all queries served
@@ -74,16 +72,16 @@ public:
 };
 
 /// Acquires the calling thread's shared session for one query, creating or
-/// recycling it per the fallback policy (busy -> nullptr, poisoned / seed
-/// change / served-query budget -> replace). \returns nullptr when the
-/// caller must use a private fresh-context session instead (incremental
-/// mode off, or the thread session is busy). Does NOT mark the session
+/// recycling it per the fallback policy (busy -> nullptr, poisoned /
+/// served-query budget -> replace). \returns nullptr when the caller must
+/// use a private fresh-context session instead (incremental mode off on
+/// this thread, or the thread session is busy). Does NOT mark the session
 /// busy; the caller does once it commits to it.
 SmtSession *acquireThreadSmtSession();
 
-/// The process-wide Z3 random seed (0 = Z3 default); reads the value set by
-/// setSmtRandomSeed.
-unsigned currentSmtRandomSeed();
+/// The Z3 random seed (0 = Z3 default) of the calling thread's sessions,
+/// as last set by resetThreadSmtSession on this thread.
+unsigned threadSmtSeed();
 
 } // namespace se2gis
 

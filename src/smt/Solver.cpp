@@ -153,7 +153,7 @@ struct SmtQuery::Impl {
       ++Borrowed->Depth;
       perfAdd(PerfCounter::SmtPush);
     } else {
-      Owned = std::make_unique<SmtSession>(currentSmtRandomSeed());
+      Owned = std::make_unique<SmtSession>(threadSmtSeed());
       ++Owned->QueriesServed;
       perfAdd(PerfCounter::SmtSessionFresh);
     }

@@ -52,18 +52,19 @@ private:
 
 /// A single satisfiability query; cheap to construct. A query runs on an
 /// *SMT session* — a long-lived per-thread Z3 context/solver pair — when
-/// the incremental layer is enabled (the default; see setSmtIncremental):
-/// construction attaches the query to the thread's session and opens a
-/// push/pop frame for its assertions, destruction pops the frame, so
-/// consecutive queries reuse a warm solver instead of rebuilding a context.
-/// Construction falls back to a private fresh context when the session is
-/// busy (a query nested inside another query's lifetime), poisoned by a
-/// prior `unknown`, or invalidated by a seed change — a degraded session
-/// can therefore never change a verdict. With the layer disabled every
-/// query owns a private fresh context (the historical behavior). Either
-/// way the session's solver params are set at most once, when it is
-/// created with a non-zero seed; each check's budget goes through the
-/// context's "rlimit" param instead (see smtRlimitForTimeoutMs).
+/// the incremental layer is enabled on the calling thread (the default; see
+/// resetThreadSmtSession): construction attaches the query to the thread's
+/// session and opens a push/pop frame for its assertions, destruction pops
+/// the frame, so consecutive queries reuse a warm solver instead of
+/// rebuilding a context. Construction falls back to a private fresh context
+/// when the session is busy (a query nested inside another query's
+/// lifetime) and replaces a session poisoned by a prior `unknown` — a
+/// degraded session can therefore never change a verdict. With the layer
+/// disabled every query owns a private fresh context (the historical
+/// behavior). Either way the session's solver params are set at most once,
+/// when it is created with a non-zero seed; each check's budget goes
+/// through the context's "rlimit" param instead (see
+/// smtRlimitForTimeoutMs).
 class SmtQuery {
 public:
   SmtQuery();
@@ -129,12 +130,6 @@ private:
   std::unique_ptr<Impl> I;
 };
 
-/// Sets the Z3 random seed applied to every subsequent query in this
-/// process (0 = Z3's default). Exposed through SolverConfig::Algo.Seed for
-/// reproducible sweeps. Changing the seed invalidates live thread sessions:
-/// the next query on each thread gets a freshly seeded solver.
-void setSmtRandomSeed(unsigned Seed);
-
 /// The deterministic budget mapping shared by every Z3 engine in the stack
 /// (SmtQuery::checkSat and the CHC fixedpoint channel): milliseconds scaled
 /// to a Z3 resource limit (~50k units/ms on commodity hardware), capped to
@@ -150,20 +145,17 @@ unsigned smtRlimitForTimeoutMs(int TimeoutMs);
 
 // --- Incremental sessions (DESIGN.md "Incremental SMT model") ----------===//
 
-/// Enables or disables the incremental session layer process-wide (default
-/// on; the SE2GIS_SMT_INCREMENTAL env var and --smt-incremental CLI flag
-/// feed AlgoOptions::SmtIncremental, which the algorithm drivers apply
-/// here). Off restores the fresh-context-per-query model; queries already
-/// attached to a session are unaffected.
-void setSmtIncremental(bool Enabled);
-
-/// \returns the current incremental-session toggle.
-bool smtIncrementalEnabled();
-
 /// Drops the calling thread's shared session (or, while it is serving a
-/// live query, marks it for replacement at the next acquisition). Queries
-/// never break: the next one simply starts a fresh session.
-void resetThreadSmtSession();
+/// live query, marks it for replacement at the next acquisition) and sets
+/// the thread's run settings for every later query on it: the Z3 random
+/// \p Seed of its sessions (0 = Z3's default; applied once, when a session
+/// is created) and whether queries use the thread's session at all
+/// (\p Incremental off = a private fresh context per query). The settings
+/// are per thread; a thread that never calls this runs on the defaults.
+/// RunScope (core/RunScope.h) calls it at the start of every run with
+/// AlgoOptions::Seed and AlgoOptions::SmtIncremental. Queries never break:
+/// the next one simply starts a fresh session.
+void resetThreadSmtSession(unsigned Seed = 0, bool Incremental = true);
 
 /// Observable state of the calling thread's session slot, for tests and
 /// diagnostics.
@@ -174,6 +166,9 @@ struct SmtSessionInfo {
   bool Busy = false;
   /// Sessions created on this thread so far (bumps on every recycle).
   std::uint64_t Generation = 0;
+  /// The Z3 random seed this thread's sessions are created with (0 = Z3's
+  /// default), as last set by resetThreadSmtSession.
+  unsigned Seed = 0;
   /// Queries the current session has served (0 when not Live).
   std::uint64_t QueriesServed = 0;
   /// Live solver scopes (0 when idle: every query pops its frames).

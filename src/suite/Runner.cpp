@@ -4,6 +4,7 @@
 
 #include "cache/CacheConfig.h"
 #include "cache/TermIO.h"
+#include "core/RunScope.h"
 #include "support/Diagnostics.h"
 #include "support/Log.h"
 #include "support/PerfCounters.h"
@@ -29,8 +30,7 @@ SuiteOptions se2gis::suiteOptionsFromEnv(std::int64_t DefaultTimeoutMs) {
 namespace {
 
 /// Emits progress lines through the structured logger (which serializes
-/// concurrent workers); the columns are the historical sequential ones, now
-/// behind the logger's [suite][info][ts][t=N] prefix.
+/// concurrent workers), behind its [suite][info][ts][t=N] prefix.
 class ProgressReporter {
 public:
   explicit ProgressReporter(bool Enabled) : Enabled(Enabled) {}
@@ -141,13 +141,13 @@ void runOne(SuiteRecord &Rec, std::shared_ptr<const Problem> P,
     bool Hit = false;
     if (auto Payload = persistentLookup("suite", Key))
       if (auto Sol = decodeSuiteSolution(*P, *Payload)) {
-        Stopwatch Timer;
+        RunScope Run(Config.Algo);
         VerifyOptions VOpts;
         VOpts.Bounded = Config.Algo.Bounded;
         VOpts.Induction = Config.Algo.Induction;
-        Deadline Budget = Deadline::afterMs(Config.Algo.TimeoutMs);
-        VerifyResult VR = verifySolution(*P, *Sol, VOpts, Budget);
-        if (VR.Status != VerifyStatus::Counterexample && !Budget.expired()) {
+        VerifyResult VR = verifySolution(*P, *Sol, VOpts, Run.budget());
+        if (VR.Status != VerifyStatus::Counterexample &&
+            !Run.budget().expired()) {
           Hit = true;
           perfAdd(PerfCounter::CacheSuiteHits);
           Rec.Result.V = Verdict::Realizable;
@@ -157,7 +157,7 @@ void runOne(SuiteRecord &Rec, std::shared_ptr<const Problem> P,
           Rec.Result.Ev.Channel = "suite-cache";
           Rec.Result.Stats.SolutionProvedInductive =
               VR.Status == VerifyStatus::ProvedInductive;
-          Rec.Result.Stats.ElapsedMs = Timer.elapsedMs();
+          Rec.Result = Run.finish(std::move(Rec.Result));
         }
       }
     if (Hit) {
@@ -178,49 +178,15 @@ void runOne(SuiteRecord &Rec, std::shared_ptr<const Problem> P,
   Progress.report(Rec);
 }
 
-/// The historical strictly sequential loop, preserved verbatim so that
-/// Jobs=1 reproduces pre-parallel sweeps bit-for-bit (same load order,
-/// same progress interleaving, same records).
-std::vector<SuiteRecord> runSuiteSequential(const SuiteOptions &Opts) {
-  std::vector<SuiteRecord> Records;
-  ProgressReporter Progress(Opts.Config.Verbose);
-  for (const BenchmarkDef &Def : allBenchmarks()) {
-    if (!Opts.Config.Filter.empty() &&
-        Def.Name.find(Opts.Config.Filter) == std::string::npos)
-      continue;
-    if ((Opts.SkipRealizable && Def.ExpectRealizable) ||
-        (Opts.SkipUnrealizable && !Def.ExpectRealizable))
-      continue;
-    std::shared_ptr<const Problem> P;
-    try {
-      P = std::make_shared<const Problem>(loadBenchmark(Def));
-    } catch (const UserError &E) {
-      logf(LogLevel::Warn, "suite", "%s: load error: %s", Def.Name.c_str(),
-           E.what());
-      continue;
-    }
-    for (AlgorithmKind K : Opts.Algorithms) {
-      SuiteRecord Rec;
-      Rec.Def = &Def;
-      Rec.Algorithm = K;
-      runOne(Rec, P, Opts.Config, Progress);
-      Records.push_back(std::move(Rec));
-    }
-  }
-  return Records;
-}
-
-/// Parallel sweep: benchmarks are loaded once each in registry order on
-/// the main thread (so load-error reporting matches the sequential loop),
-/// then every (benchmark, algorithm) pair becomes one pool job writing
-/// into its pre-assigned record slot. Loaded problems are immutable after
+/// The one sweep loop: benchmarks are loaded once each in registry order on
+/// the calling thread, then every (benchmark, algorithm) pair runs into its
+/// pre-assigned record slot — inline on the calling thread when \p Jobs is
+/// 1, else as one pool job each. Loaded problems are immutable after
 /// validation and every SmtQuery solves on its own worker's thread-local
 /// Z3 session (private fresh contexts when SE2GIS_SMT_INCREMENTAL=off —
-/// never a solver shared across threads), so jobs never
-/// share mutable state; results land in the same deterministic order as
-/// the sequential loop.
-std::vector<SuiteRecord> runSuiteParallel(const SuiteOptions &Opts,
-                                          unsigned Jobs) {
+/// never a solver shared across threads), so jobs never share mutable
+/// state; records come back in registry order whatever the worker count.
+std::vector<SuiteRecord> runRecords(const SuiteOptions &Opts, unsigned Jobs) {
   std::vector<SuiteRecord> Records;
   std::vector<std::shared_ptr<const Problem>> Problems; // one per record
   ProgressReporter Progress(Opts.Config.Verbose);
@@ -249,13 +215,19 @@ std::vector<SuiteRecord> runSuiteParallel(const SuiteOptions &Opts,
     }
   }
 
+  auto RunAt = [&](size_t I) {
+    runOne(Records[I], Problems[I], Opts.Config, Progress);
+  };
+  if (Jobs <= 1) {
+    for (size_t I = 0; I < Records.size(); ++I)
+      RunAt(I);
+    return Records;
+  }
   ThreadPool Pool(Jobs);
   std::vector<std::future<void>> Pending;
   Pending.reserve(Records.size());
   for (size_t I = 0; I < Records.size(); ++I)
-    Pending.push_back(Pool.enqueue([&, I] {
-      runOne(Records[I], Problems[I], Opts.Config, Progress);
-    }));
+    Pending.push_back(Pool.enqueue([&RunAt, I] { RunAt(I); }));
   for (std::future<void> &F : Pending)
     F.get(); // rethrows anything unexpected from a worker
   return Records;
@@ -280,9 +252,7 @@ std::vector<SuiteRecord> se2gis::runSuite(const SuiteOptions &Opts) {
   // within hardware_concurrency (no-op standalone — see clampInnerJobs).
   unsigned Jobs = clampInnerJobs(
       Opts.Config.Jobs ? Opts.Config.Jobs : ThreadPool::defaultConcurrency());
-  std::vector<SuiteRecord> Records = Jobs <= 1
-                                         ? runSuiteSequential(Opts)
-                                         : runSuiteParallel(Opts, Jobs);
+  std::vector<SuiteRecord> Records = runRecords(Opts, Jobs);
   if (!Opts.Config.PerfJsonPath.empty()) {
     std::ofstream OS(Opts.Config.PerfJsonPath);
     if (OS)

@@ -12,10 +12,10 @@
 /// context when sessions are off — so runs are isolated); each pair runs
 /// as one SynthesisTask under its own deadline, and a timed-out run comes
 /// back as a Timeout verdict with partial stats — never a poisoned worker.
-/// Results always come back in registry order — identical to the
-/// sequential runner's — and Jobs=1 takes the sequential code path
-/// bit-for-bit. A perf-counter JSON summary of the sweep can be written
-/// via Config.PerfJsonPath (schema in DESIGN.md).
+/// Results always come back in registry order, whatever the worker count;
+/// Jobs=1 runs the same record list inline on the calling thread. A
+/// perf-counter JSON summary of the sweep can be written via
+/// Config.PerfJsonPath (schema in DESIGN.md).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -108,8 +108,7 @@ private:
 ///
 /// A default-constructed deadline never expires. Deadlines are cheap values
 /// and are passed by copy through the solver stack; they may additionally
-/// carry a \c CancellationToken (and, for low-level interop, a raw atomic
-/// flag), either of which also counts as expiry.
+/// carry a \c CancellationToken, whose cancellation also counts as expiry.
 class Deadline {
 public:
   /// Creates a never-expiring deadline.
@@ -130,15 +129,10 @@ public:
   /// expired once the token is cancelled.
   void setToken(CancellationToken T) { Token = std::move(T); }
 
-  /// Attaches a raw cancellation flag (legacy interop; prefer \c setToken).
-  void setCancelFlag(const std::atomic<bool> *Flag) { Cancel = Flag; }
-
   /// \returns true once the deadline has passed or cancellation was
   /// requested.
   bool expired() const {
     if (Token.cancelRequested())
-      return true;
-    if (Cancel && Cancel->load(std::memory_order_relaxed))
       return true;
     return !Unlimited && Clock::now() >= End;
   }
@@ -146,8 +140,7 @@ public:
   /// \returns remaining budget in milliseconds, clamped at zero (also zero
   /// when cancelled); a large sentinel when unlimited.
   std::int64_t remainingMs() const {
-    if (Token.cancelRequested() ||
-        (Cancel && Cancel->load(std::memory_order_relaxed)))
+    if (Token.cancelRequested())
       return 0;
     if (Unlimited)
       return INT64_C(1) << 40;
@@ -173,7 +166,6 @@ private:
   using Clock = std::chrono::steady_clock;
   bool Unlimited = true;
   Clock::time_point End{};
-  const std::atomic<bool> *Cancel = nullptr;
   CancellationToken Token;
 };
 

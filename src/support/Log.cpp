@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 
 using namespace se2gis;
@@ -19,21 +18,11 @@ namespace {
 
 std::atomic<unsigned char> GLevel{static_cast<unsigned char>(LogLevel::Info)};
 
-/// Emission (stderr + JSONL sink) is serialized by one mutex so concurrent
-/// suite workers never interleave characters within a line.
+/// Emission to stderr is serialized by one mutex so concurrent suite
+/// workers never interleave characters within a line.
 std::mutex &emitMutex() {
   static std::mutex M;
   return M;
-}
-
-struct JsonSink {
-  std::string Path;
-  std::ofstream Stream;
-};
-
-JsonSink &jsonSink() {
-  static JsonSink S;
-  return S;
 }
 
 std::atomic<unsigned> GNextThreadId{1};
@@ -91,15 +80,6 @@ std::optional<LogLevel> se2gis::parseLogLevel(const std::string &Name) {
 void se2gis::configureLogging(const LogSettings &Settings) {
   GLevel.store(static_cast<unsigned char>(Settings.Level),
                std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(emitMutex());
-  JsonSink &Sink = jsonSink();
-  if (Sink.Path == Settings.JsonPath)
-    return; // idempotent reconfiguration (one call per SynthesisTask)
-  if (Sink.Stream.is_open())
-    Sink.Stream.close();
-  Sink.Path = Settings.JsonPath;
-  if (!Sink.Path.empty())
-    Sink.Stream.open(Sink.Path, std::ios::app);
 }
 
 LogLevel se2gis::logLevel() {
@@ -149,16 +129,6 @@ void se2gis::logMessage(LogLevel L, const char *Component,
   else
     std::fprintf(stderr, "[%s][%s][%s][t=%u] %s\n", Component, logLevelName(L),
                  Ts.c_str(), Tid, Message.c_str());
-  JsonSink &Sink = jsonSink();
-  if (Sink.Stream.is_open()) {
-    Sink.Stream << "{\"ts\":\"" << Ts << "\",\"level\":\"" << logLevelName(L)
-                << "\",\"tid\":" << Tid;
-    if (Rid)
-      Sink.Stream << ",\"rid\":" << Rid;
-    Sink.Stream << ",\"component\":\"" << jsonEscape(Component)
-                << "\",\"msg\":\"" << jsonEscape(Message) << "\"}\n";
-    Sink.Stream.flush();
-  }
 }
 
 void se2gis::logf(LogLevel L, const char *Component, const char *Fmt, ...) {

@@ -11,10 +11,10 @@
 ///   [suite][info][2026-08-05T12:34:56.789Z][t=3] sortedlist/min ...
 ///
 /// The level is a single relaxed atomic read (\c logEnabled), so disabled
-/// levels cost one load and no formatting. Configuration flows through
-/// \c SolverConfig (SE2GIS_LOG=error|warn|info|debug plus the optional
-/// SE2GIS_LOG_JSON JSONL sink); \c configureLogging is idempotent and safe
-/// to call once per SynthesisTask.
+/// levels cost one load and no formatting. Every record also lands in the
+/// flight recorder, which `--trace` dumps. Configuration flows through
+/// \c SolverConfig (SE2GIS_LOG=error|warn|info|debug); \c configureLogging
+/// is idempotent and safe to call once per SynthesisTask.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,14 +44,9 @@ struct LogSettings {
   /// Most verbose admitted level. Info by default: progress lines show,
   /// debug traces don't.
   LogLevel Level = LogLevel::Info;
-  /// When non-empty, every admitted record is also appended to this file as
-  /// one JSON object per line: {"ts":"...","level":"...","tid":N,
-  /// "component":"...","msg":"..."}.
-  std::string JsonPath;
 };
 
-/// Applies \p Settings process-wide. Idempotent: reconfiguring with the
-/// same values is a no-op; changing JsonPath reopens the sink (append).
+/// Applies \p Settings process-wide. Idempotent.
 void configureLogging(const LogSettings &Settings);
 
 /// \returns the currently configured level.
@@ -68,9 +63,9 @@ unsigned currentThreadId();
 /// Binds \p Rid as the calling thread's active request id (0 clears it).
 /// Set by the service at request admission and by workers for the duration
 /// of a job; propagated manually into portfolio race threads. While set,
-/// every log line gains an `[r=N]` bracket (and a `"rid"` JSONL field) and
-/// every flight-recorder event carries the id, so one request's activity
-/// can be grepped across logs, traces, and post-mortem dumps.
+/// every log line gains an `[r=N]` bracket and every flight-recorder event
+/// carries the id, so one request's activity can be grepped across logs,
+/// traces, and post-mortem dumps.
 void setThreadRequestId(std::uint64_t Rid);
 
 /// \returns the calling thread's active request id (0 when none).
@@ -103,9 +98,9 @@ void logf(LogLevel L, const char *Component, const char *Fmt, ...);
 
 /// Escapes \p S as the *contents* of a JSON string literal (no quotes):
 /// quotes, backslashes, and every control character. The one escaper of
-/// every textual JSON writer (JSONL log sink, trace writer, service codec,
-/// fuzz manifest); only the async-signal-safe flight-recorder dump keeps
-/// its own.
+/// every textual JSON writer (trace writer, service codec, fuzz
+/// manifest); only the async-signal-safe flight-recorder dump keeps its
+/// own.
 std::string jsonEscape(const std::string &S);
 
 } // namespace se2gis

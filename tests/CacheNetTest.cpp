@@ -57,6 +57,12 @@ protected:
     fs::create_directories(Root);
   }
   void TearDown() override {
+    // A failed ASSERT can leave a test early with its daemons still
+    // serving: drain and join them here so no joinable thread is destroyed.
+    for (auto &D : Daemons)
+      D->drain();
+    joinDaemons();
+    Daemons.clear();
     shutdownCache();
     fs::remove_all(Root);
   }
@@ -64,8 +70,9 @@ protected:
   std::string path(const std::string &Leaf) { return Root + "/" + Leaf; }
 
   /// Starts an in-process daemon on a unix socket under the scratch dir.
-  std::unique_ptr<CacheDaemon> startDaemon(const std::string &Tag,
-                                           CacheDaemonConfig Config = {}) {
+  /// The fixture owns it until TearDown.
+  CacheDaemon *startDaemon(const std::string &Tag,
+                           CacheDaemonConfig Config = {}) {
     Config.Listen = "unix:" + path(Tag + ".sock");
     Config.Dir = path(Tag + ".store");
     Config.Log.Level = LogLevel::Error;
@@ -76,7 +83,8 @@ protected:
       return nullptr;
     }
     RunThreads.emplace_back([Ptr = D.get()] { Ptr->run(); });
-    return D;
+    Daemons.push_back(std::move(D));
+    return Daemons.back().get();
   }
 
   void stopDaemon(CacheDaemon &D) { D.drain(); }
@@ -91,6 +99,7 @@ protected:
   }
 
   std::string Root;
+  std::vector<std::unique_ptr<CacheDaemon>> Daemons;
   std::vector<std::thread> RunThreads;
 };
 
@@ -408,15 +417,11 @@ TEST_F(CacheNetTest, BreakerOpensOnDeadDaemonAndRecloses) {
   EXPECT_GE(Mid.get(PerfCounter::CacheRemoteErrors), 2u);
   EXPECT_GE(Mid.get(PerfCounter::CacheRemoteDegraded), 1u);
 
-  // Revive a daemon on the same socket path; after the cooldown the next
-  // probe goes half-open, succeeds, and closes the breaker.
-  CacheDaemonConfig Config;
-  Config.Listen = "unix:" + Sock;
-  Config.Dir = path("revive.store");
-  Config.Log.Level = LogLevel::Error;
-  CacheDaemon D(std::move(Config));
-  ASSERT_TRUE(D.start(Error)) << Error;
-  std::thread T([&D] { D.run(); });
+  // Revive a daemon on the same socket path ("revive.sock"); after the
+  // cooldown the next probe goes half-open, succeeds, and closes the
+  // breaker.
+  CacheDaemon *D = startDaemon("revive");
+  ASSERT_NE(D, nullptr);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_FALSE(Store->get("smt", K).has_value()); // miss, but transport OK
@@ -427,8 +432,8 @@ TEST_F(CacheNetTest, BreakerOpensOnDeadDaemonAndRecloses) {
   ASSERT_TRUE(Got.has_value());
   EXPECT_EQ(*Got, "after-revival");
 
-  D.drain();
-  T.join();
+  stopDaemon(*D);
+  joinDaemons();
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <random>
 #include <unordered_map>
 
@@ -318,9 +317,10 @@ TEST(EnumeratorKernelTest, TupleProjectionLeaves) {
 }
 
 TEST(EnumeratorKernelTest, ExpiredDeadline) {
-  std::atomic<bool> Stop{true};
+  CancellationToken Stop = CancellationToken::create();
+  Stop.requestCancel();
   Deadline Expired;
-  Expired.setCancelFlag(&Stop);
+  Expired.setToken(Stop);
   Leaves3 L;
   std::vector<PbeExample> Ex;
   for (long long X : {1, 2, 3})

@@ -11,15 +11,6 @@ using namespace se2gis;
 
 namespace {
 
-TEST(DeadlineTest, CancellationFlagExpiresDeadline) {
-  std::atomic<bool> Flag{false};
-  Deadline D = Deadline::afterMs(1000000);
-  D.setCancelFlag(&Flag);
-  EXPECT_FALSE(D.expired());
-  Flag.store(true);
-  EXPECT_TRUE(D.expired());
-}
-
 TEST(DeadlineTest, UnlimitedNeverExpires) {
   Deadline D;
   EXPECT_FALSE(D.expired());

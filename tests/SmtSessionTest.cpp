@@ -4,16 +4,19 @@
 /// Covers the session layer of DESIGN.md "Incremental SMT model": verdict
 /// parity between incremental sessions and fresh contexts, push/pop scope
 /// semantics (including frame-scoped model readback), per-thread reuse,
-/// the busy/nested fallback, budget-expiry behavior, and seed-change
-/// invalidation, and per-check budgets on a reused session. Everything here
-/// uses only the public SmtQuery surface —
-/// the session is observed through threadSmtSessionInfo and perf counters.
+/// the busy/nested fallback, budget-expiry behavior, seed-change
+/// invalidation, per-check budgets on a reused session, and run settings
+/// that stay on the run's thread. Everything here uses only the public
+/// SmtQuery surface (plus runSE2GIS for the run settings) — the session is
+/// observed through threadSmtSessionInfo and perf counters.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "smt/Solver.h"
 
 #include "cache/CacheConfig.h"
+#include "core/Algorithms.h"
+#include "suite/Benchmarks.h"
 #include "support/PerfCounters.h"
 
 #include <gtest/gtest.h>
@@ -26,20 +29,15 @@ using namespace se2gis;
 
 namespace {
 
-/// Pins the incremental toggle for one test and restores a clean slate
-/// around it: sessions dropped, memo cache off (so parity checks exercise
-/// Z3, not the cache), seed back to default on exit.
+/// Pins this thread's incremental setting for one test and restores a
+/// clean slate around it: sessions dropped, memo cache off (so parity
+/// checks exercise Z3, not the cache), default seed and mode on exit.
 struct IncrementalGuard {
   explicit IncrementalGuard(bool Enabled) {
     configureCache(CacheSettings{}); // Off: no memo-cache masking
-    setSmtIncremental(Enabled);
-    resetThreadSmtSession();
+    resetThreadSmtSession(/*Seed=*/0, Enabled);
   }
-  ~IncrementalGuard() {
-    setSmtRandomSeed(0);
-    setSmtIncremental(true);
-    resetThreadSmtSession();
-  }
+  ~IncrementalGuard() { resetThreadSmtSession(); }
 };
 
 /// One verdict + model observation, comparable across solver modes.
@@ -102,7 +100,7 @@ TEST(SmtSessionTest, VerdictParityWithFreshContexts) {
   {
     // A seeded session: the seed is applied once, at session construction.
     IncrementalGuard G(true);
-    setSmtRandomSeed(12345);
+    resetThreadSmtSession(12345);
     for (const Case &C : Cases)
       Seeded.push_back(observe(C.Hard, C.Soft));
   }
@@ -317,11 +315,46 @@ TEST(SmtSessionTest, SeedChangeInvalidatesSession) {
   EXPECT_EQ(quickCheck({A}, 2000), SmtResult::Sat);
   std::uint64_t GenBefore = threadSmtSessionInfo().Generation;
 
-  setSmtRandomSeed(12345);
+  resetThreadSmtSession(12345);
   EXPECT_EQ(quickCheck({A}, 2000), SmtResult::Sat);
   SmtSessionInfo Info = threadSmtSessionInfo();
   EXPECT_GT(Info.Generation, GenBefore);
   EXPECT_EQ(Info.QueriesServed, 1u); // freshly seeded session
+  EXPECT_EQ(Info.Seed, 12345u);
+}
+
+TEST(SmtSessionTest, RunSettingsStayOnTheirThread) {
+  IncrementalGuard G(true);
+  Problem P = loadBenchmark(*findBenchmark("list/sum"));
+  VarPtr X = freshVar("x", Type::intTy());
+  TermPtr A = mkOp(OpKind::Gt, {mkVar(X), mkIntLit(3)});
+  AlgoOptions Opts;
+  Opts.TimeoutMs = 20000;
+
+  // A run with incremental sessions off leaves them on for other threads.
+  Opts.SmtIncremental = false;
+  EXPECT_EQ(runSE2GIS(P, Opts).V, Verdict::Realizable);
+  bool OtherLive = false;
+  std::thread Other([&] {
+    EXPECT_EQ(quickCheck({A}, 2000), SmtResult::Sat);
+    OtherLive = threadSmtSessionInfo().Live;
+  });
+  Other.join();
+  EXPECT_TRUE(OtherLive);
+
+  // A run keeps its settings on its thread until the next run installs
+  // its own: a Seed=0 run after a seeded one solves unseeded.
+  Opts.SmtIncremental = true;
+  Opts.Seed = 12345;
+  EXPECT_EQ(runSE2GIS(P, Opts).V, Verdict::Realizable);
+  EXPECT_EQ(quickCheck({A}, 2000), SmtResult::Sat);
+  EXPECT_EQ(threadSmtSessionInfo().Seed, 12345u);
+  Opts.Seed = 0;
+  EXPECT_EQ(runSE2GIS(P, Opts).V, Verdict::Realizable);
+  EXPECT_EQ(quickCheck({A}, 2000), SmtResult::Sat);
+  SmtSessionInfo Info = threadSmtSessionInfo();
+  EXPECT_TRUE(Info.Live);
+  EXPECT_EQ(Info.Seed, 0u);
 }
 
 TEST(SmtSessionTest, UnknownSignatureChangeAcrossFramesAndQueries) {
@@ -365,8 +398,7 @@ TEST(SmtSessionTest, SessionScopeKeepsSessionAndDisablingRestoresFresh) {
 
   // With the layer off, queries take the private-context path and never
   // touch the thread slot.
-  setSmtIncremental(false);
-  resetThreadSmtSession();
+  resetThreadSmtSession(/*Seed=*/0, /*Incremental=*/false);
   PerfSnapshot Before = snapshotPerf();
   EXPECT_EQ(quickCheck({A}, 2000), SmtResult::Sat);
   PerfSnapshot Delta = snapshotPerf().since(Before);
