@@ -52,14 +52,14 @@ std::optional<CacheMode> se2gis::parseCacheMode(const std::string &Name) {
 
 std::string se2gis::validateCacheDir(const std::string &Dir) {
   if (Dir.empty())
-    return "cache dir is empty (set SE2GIS_CACHE_DIR or --cache-dir)";
+    return "cache dir is empty";
   std::error_code EC;
   fs::path P(Dir);
   if (fs::exists(P, EC)) {
     if (!fs::is_directory(P, EC))
       return "cache dir '" + Dir +
-             "' exists but is not a directory; delete it or point "
-             "--cache-dir/SE2GIS_CACHE_DIR elsewhere";
+             "' exists but is not a directory; delete it or choose another "
+             "cache dir";
     // Writability probe: actually create a file. Permission bits alone lie
     // for privileged users and exotic filesystems.
     fs::path Probe = P / ".se2gis-probe";
@@ -69,8 +69,8 @@ std::string se2gis::validateCacheDir(const std::string &Dir) {
     fs::remove(Probe, EC);
     if (!Ok)
       return "cache dir '" + Dir +
-             "' exists but is not writable; fix its permissions or point "
-             "--cache-dir/SE2GIS_CACHE_DIR elsewhere";
+             "' exists but is not writable; fix its permissions or choose "
+             "another cache dir";
     return "";
   }
   fs::path Parent = P.parent_path();
@@ -78,6 +78,16 @@ std::string se2gis::validateCacheDir(const std::string &Dir) {
     return "cache dir '" + Dir + "' cannot be created (missing parent '" +
            Parent.string() + "')";
   return "";
+}
+
+void se2gis::checkCacheSettings(const CacheSettings &S) {
+  if (S.Mode == CacheMode::Disk || S.Mode == CacheMode::Remote) {
+    std::string Problem = validateCacheDir(S.Dir);
+    if (!Problem.empty())
+      userError(Problem);
+  }
+  if (S.Mode == CacheMode::Remote && S.Addr.empty())
+    userError("remote cache mode needs a daemon address");
 }
 
 namespace {
@@ -122,14 +132,7 @@ void se2gis::configureCache(const CacheSettings &S) {
       (S.Mode != CacheMode::Remote || S.Addr == R.Settings.Addr))
     return; // idempotent re-configure (every SynthesisTask::run calls this)
 
-  if (Persistent) {
-    std::string Problem = validateCacheDir(S.Dir);
-    if (!Problem.empty())
-      userError(Problem);
-  }
-  if (S.Mode == CacheMode::Remote && S.Addr.empty())
-    userError("remote cache mode needs a daemon address "
-              "(SE2GIS_CACHE_ADDR or --cache-addr)");
+  checkCacheSettings(S);
 
   resetLocked(R);
   R.Settings = S;

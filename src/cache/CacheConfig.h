@@ -61,10 +61,14 @@ struct CacheSettings {
 /// when usable, otherwise a diagnostic suitable for a UserError.
 std::string validateCacheDir(const std::string &Dir);
 
-/// Applies \p S process-wide. Throws UserError (with the \c
-/// validateCacheDir diagnostic) when Disk mode is requested on an unusable
-/// directory. Re-configuring with identical settings is a cheap no-op;
-/// changing settings flushes and resets the caches.
+/// Throws UserError when \p S cannot work: Disk or Remote mode on an
+/// unusable directory (the \c validateCacheDir diagnostic), or Remote mode
+/// without a daemon address.
+void checkCacheSettings(const CacheSettings &S);
+
+/// Applies \p S process-wide, after \c checkCacheSettings. Re-configuring
+/// with identical settings is a cheap no-op; changing settings flushes and
+/// resets the caches.
 void configureCache(const CacheSettings &S);
 
 /// Resets to Off and drops all in-memory state (persistent segments stay on

@@ -220,7 +220,7 @@ std::unique_ptr<DiskStore> DiskStore::open(const std::string &Dir,
       // Unknown version: refuse rather than guess at the format. The
       // operator can delete the directory to start fresh.
       Error = "cache dir '" + Dir + "' holds an incompatible store (header '" +
-              Header + "'); delete it or point --cache-dir elsewhere";
+              Header + "'); delete it or choose another cache dir";
       return nullptr;
     }
   } else {

@@ -5,6 +5,7 @@
 #include "chc/ChcEncoder.h"
 #include "chc/FixedpointSolver.h"
 #include "core/RunScope.h"
+#include "support/PerfCounters.h"
 #include "support/Progress.h"
 #include "support/Trace.h"
 #include "synth/Grammar.h"
@@ -30,6 +31,9 @@ Outcome se2gis::runChcChannel(const Problem &P, const AlgoOptions &Opts) {
       break;
     }
 
+    // The rung's whole cost, not just its query: building the fixedpoint
+    // context and encoding the system often cost more than solving it.
+    PhaseScope ChcPhase(Phase::Chc);
     ChcOptions CO;
     CO.MaxTerms = TermLadder[Rung];
     CO.MaxInstantiationsPerEqn = 48 * (Rung + 1);

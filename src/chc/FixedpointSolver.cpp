@@ -40,7 +40,6 @@ void FixedpointSolver::addRule(const z3::expr_vector &Bound,
 FixedpointSolver::Result FixedpointSolver::query(const z3::expr &Goal,
                                                  int TimeoutMs,
                                                  const Deadline &Budget) {
-  PhaseScope ChcPhase(Phase::Chc);
   int Ms = Budget.queryBudgetMs(TimeoutMs);
   if (Ms <= 0)
     return Result::Unknown; // expired before the query even started

@@ -112,8 +112,9 @@ struct AlgoOptions {
   unsigned Seed = 0;
   /// Incremental SMT sessions (DESIGN.md "Incremental SMT model"): queries
   /// run on long-lived per-thread Z3 solvers with push/pop deltas. Off
-  /// restores the fresh-context-per-query model. Fed by
-  /// SE2GIS_SMT_INCREMENTAL / --smt-incremental.
+  /// restores the fresh-context-per-query model, which se2gis_fuzz's
+  /// `se2gis-race-fresh` column and SmtSessionTest use as their reference;
+  /// no environment variable or flag sets it.
   bool SmtIncremental = true;
 
   /// Which unrealizability channel(s) to use; see UnrealMode. Fed by

@@ -5,85 +5,137 @@
 #include "support/Diagnostics.h"
 #include "support/Trace.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <optional>
 
 using namespace se2gis;
+
+namespace {
+
+/// Reads a whole decimal integer; throws UserError on anything else.
+long long parseInteger(const std::string &V) {
+  long long N = 0;
+  const char *End = V.data() + V.size();
+  auto [Stop, Err] = std::from_chars(V.data(), End, N);
+  if (V.empty() || Err != std::errc() || Stop != End)
+    userError("expected an integer, got '" + V + "'");
+  return N;
+}
+
+/// The value an enum parser found in \p V; throws UserError if none.
+template <typename T> T known(std::optional<T> Parsed, const std::string &V) {
+  if (!Parsed)
+    userError("unknown value '" + V + "'");
+  return *Parsed;
+}
+
+/// The settings table: one row per SE2GIS_* variable.
+const SolverSetting Settings[] = {
+    {"SE2GIS_TIMEOUT_MS", "--timeout-ms", "N",
+     "budget per run in milliseconds; <= 0 means no deadline",
+     [](SolverConfig &C, const std::string &V) {
+       C.Algo.TimeoutMs = parseInteger(V);
+     }},
+    {"SE2GIS_SEED", "--seed", "N", "Z3 random seed (0 = Z3's default)",
+     [](SolverConfig &C, const std::string &V) {
+       long long N = parseInteger(V);
+       if (N < 0 || N > std::numeric_limits<unsigned>::max())
+         userError("'" + V + "' is out of range");
+       C.Algo.Seed = static_cast<unsigned>(N);
+     }},
+    {"SE2GIS_UNREAL", "--unreal", "witness|chc|race|auto",
+     "unrealizability channels (auto: race under portfolio, witness "
+     "elsewhere)",
+     [](SolverConfig &C, const std::string &V) {
+       C.Algo.Unreal = known(parseUnrealMode(V), V);
+     }},
+    {"SE2GIS_CACHE", "--cache", "off|mem|disk|remote",
+     "memoization mode (default off)",
+     [](SolverConfig &C, const std::string &V) {
+       C.Cache.Mode = known(parseCacheMode(V), V);
+     }},
+    {"SE2GIS_CACHE_DIR", "--cache-dir", "DIR",
+     "store directory of a disk or remote cache (default ./.se2gis-cache)",
+     [](SolverConfig &C, const std::string &V) { C.Cache.Dir = V; }},
+    {"SE2GIS_CACHE_ADDR", "--cache-addr", "ADDR",
+     "se2gis_cached address of a remote cache (unix:PATH or "
+     "tcp:HOST:PORT)",
+     [](SolverConfig &C, const std::string &V) { C.Cache.Addr = V; }},
+    {"SE2GIS_LOG", "--log-level", "error|warn|info|debug",
+     "logger verbosity (default info)",
+     [](SolverConfig &C, const std::string &V) {
+       C.Log.Level = known(parseLogLevel(V), V);
+     }},
+    {"SE2GIS_TRACE", "--trace", "PATH",
+     "write the flight recorder here as Chrome trace_event JSON",
+     [](SolverConfig &C, const std::string &V) { C.TracePath = V; }},
+    {"SE2GIS_FILTER", nullptr, "TEXT",
+     "suite sweeps run only the benchmarks whose name contains TEXT",
+     [](SolverConfig &C, const std::string &V) { C.Filter = V; }},
+    {"SE2GIS_JOBS", nullptr, "N",
+     "concurrent suite workers; anything but a positive integer means "
+     "hardware concurrency",
+     [](SolverConfig &C, const std::string &V) {
+       long N = std::atol(V.c_str());
+       C.Jobs = N > 0 ? static_cast<unsigned>(N) : 0;
+     }},
+    {"SE2GIS_PERF_JSON", nullptr, "PATH",
+     "suite sweeps write their perf-counter JSON summary here",
+     [](SolverConfig &C, const std::string &V) { C.PerfJsonPath = V; }},
+};
+
+/// Parses \p Value through \p S, prefixing any error with \p Source (the
+/// variable or flag the value came from) and the values it takes.
+void apply(const SolverSetting &S, const char *Source, SolverConfig &C,
+           const std::string &Value) {
+  try {
+    S.Parse(C, Value);
+  } catch (const UserError &E) {
+    userError(std::string(Source) + " " + S.Arg + ": " + E.what());
+  }
+}
+
+} // namespace
+
+std::span<const SolverSetting> se2gis::solverSettings() { return Settings; }
+
+std::string se2gis::solverFlagUsage() {
+  std::string Out;
+  for (const SolverSetting &S : Settings) {
+    if (!S.Flag)
+      continue;
+    Out += std::string("  ") + S.Flag + " " + S.Arg + "  [" + S.Env + "]\n" +
+           "      " + S.Help + "\n";
+  }
+  return Out;
+}
 
 SolverConfig SolverConfig::fromEnv(std::int64_t DefaultTimeoutMs) {
   SolverConfig C;
   C.Algo.TimeoutMs = DefaultTimeoutMs;
-  if (const char *T = std::getenv("SE2GIS_TIMEOUT_MS")) {
-    long long V = std::atoll(T);
-    if (V > 0)
-      C.Algo.TimeoutMs = V;
-  }
-  if (const char *S = std::getenv("SE2GIS_SEED")) {
-    long long V = std::atoll(S);
-    if (V > 0)
-      C.Algo.Seed = static_cast<unsigned>(V);
-  }
-  if (const char *S = std::getenv("SE2GIS_GEN_SEED")) {
-    long long V = std::atoll(S);
-    if (V > 0)
-      C.GenSeed = static_cast<std::uint64_t>(V);
-  }
-  if (const char *I = std::getenv("SE2GIS_SMT_INCREMENTAL")) {
-    std::string V = I;
-    if (V == "on")
-      C.Algo.SmtIncremental = true;
-    else if (V == "off")
-      C.Algo.SmtIncremental = false;
-    else
-      userError("SE2GIS_SMT_INCREMENTAL: expected on or off, got '" + V +
-                "'");
-  }
-  if (const char *U = std::getenv("SE2GIS_UNREAL")) {
-    auto Mode = parseUnrealMode(U);
-    if (!Mode)
-      userError(std::string("SE2GIS_UNREAL: unknown unrealizability mode '") +
-                U + "' (expected witness, chc, or race)");
-    C.Algo.Unreal = *Mode;
-  }
-  if (const char *F = std::getenv("SE2GIS_FILTER"))
-    C.Filter = F;
-  if (const char *J = std::getenv("SE2GIS_JOBS")) {
-    long V = std::atol(J);
-    if (V > 0)
-      C.Jobs = static_cast<unsigned>(V);
-  }
-  if (const char *P = std::getenv("SE2GIS_PERF_JSON"))
-    C.PerfJsonPath = P;
-  if (const char *M = std::getenv("SE2GIS_CACHE")) {
-    auto Mode = parseCacheMode(M);
-    if (!Mode)
-      userError(std::string("SE2GIS_CACHE: unknown cache mode '") + M +
-                "' (expected off, mem, disk, or remote)");
-    C.Cache.Mode = *Mode;
-  }
-  if (const char *D = std::getenv("SE2GIS_CACHE_DIR"))
-    C.Cache.Dir = D;
-  if (const char *A = std::getenv("SE2GIS_CACHE_ADDR"))
-    C.Cache.Addr = A;
-  if (C.Cache.Mode == CacheMode::Disk ||
-      C.Cache.Mode == CacheMode::Remote) {
-    std::string Err = validateCacheDir(C.Cache.Dir);
-    if (!Err.empty())
-      userError("SE2GIS_CACHE_DIR: " + Err);
-  }
-  if (C.Cache.Mode == CacheMode::Remote && C.Cache.Addr.empty())
-    userError("SE2GIS_CACHE=remote needs a daemon address "
-              "(SE2GIS_CACHE_ADDR or --cache-addr)");
-  if (const char *L = std::getenv("SE2GIS_LOG")) {
-    auto Level = parseLogLevel(L);
-    if (!Level)
-      userError(std::string("SE2GIS_LOG: unknown log level '") + L +
-                "' (expected error, warn, info, or debug)");
-    C.Log.Level = *Level;
-  }
-  if (const char *T = std::getenv("SE2GIS_TRACE"))
-    C.TracePath = T;
+  for (const SolverSetting &S : Settings)
+    if (const char *V = std::getenv(S.Env))
+      apply(S, S.Env, C, V);
+  C.check();
   return C;
 }
+
+bool SolverConfig::parseFlag(int Argc, char **Argv, int &I) {
+  for (const SolverSetting &S : Settings) {
+    if (!S.Flag || std::strcmp(Argv[I], S.Flag) != 0)
+      continue;
+    if (I + 1 >= Argc)
+      userError(std::string(S.Flag) + ": missing " + S.Arg);
+    apply(S, S.Flag, *this, Argv[++I]);
+    return true;
+  }
+  return false;
+}
+
+void SolverConfig::check() const { checkCacheSettings(Cache); }
 
 Outcome SynthesisTask::run(const SolverConfig &Config) const {
   Outcome R;

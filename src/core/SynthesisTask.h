@@ -7,9 +7,13 @@
 /// \c SolverConfig (budgets, parallelism, seed, telemetry), producing an
 /// \c Outcome (verdict, solution or witness description, stats).
 ///
-/// SolverConfig is the only place that reads the SE2GIS_* environment
-/// variables, and only as a fallback in \c fromEnv: a driver that fills the
-/// fields programmatically ignores the environment entirely, so sweeps are
+/// SolverConfig's settings are declared once, in the table that
+/// \c solverSettings returns: each row names its SE2GIS_* variable, its
+/// command-line flag and its parser. \c fromEnv reads the environment
+/// through it, and the `se2gis` and `se2gis_served` tools parse their
+/// solver flags and print their usage through it, so a setting means the
+/// same thing from every source. A driver that fills the fields
+/// programmatically ignores the environment entirely, so sweeps are
 /// reproducible from code alone.
 ///
 //===----------------------------------------------------------------------===//
@@ -22,6 +26,7 @@
 #include "support/Log.h"
 
 #include <memory>
+#include <span>
 
 namespace se2gis {
 
@@ -52,34 +57,42 @@ struct SolverConfig {
   /// Chrome trace_event JSON file at the end of the run / sweep and at
   /// exit (load it in Perfetto).
   std::string TracePath;
-  /// Benchmark-generator stream seed (src/gen/): the fuzz driver and any
-  /// generator-backed sweep derive every sampled case from this value, so
-  /// a run is reproducible from the config alone. Unlike Algo.Seed (the
-  /// Z3 seed) 0 is a valid stream.
-  std::uint64_t GenSeed = 0;
 
-  /// Builds a config from the environment (the only SE2GIS_* reader):
-  ///  - SE2GIS_TIMEOUT_MS — overall budget in milliseconds. Values <= 0
-  ///    leave the default \p DefaultTimeoutMs.
-  ///  - SE2GIS_SEED — Z3 random seed (0 = Z3's default).
-  ///  - SE2GIS_GEN_SEED — benchmark-generator stream seed (see GenSeed).
-  ///  - SE2GIS_SMT_INCREMENTAL — "on" (default) or "off"; off restores
-  ///    fresh-context-per-query SMT solving (throws UserError on anything
-  ///    else). See DESIGN.md "Incremental SMT model".
-  ///  - SE2GIS_UNREAL — unrealizability channels: "witness" (functional
-  ///    witnesses only), "chc" (fixedpoint channel only), "race" (both), or
-  ///    "auto" (the default: race under Portfolio, witness elsewhere).
-  ///    Throws UserError on anything else. See DESIGN.md "Unrealizability
-  ///    channels".
-  ///  - SE2GIS_FILTER, SE2GIS_JOBS, SE2GIS_PERF_JSON — as the fields above.
-  ///  - SE2GIS_CACHE — "off" (default), "mem", or "disk"; SE2GIS_CACHE_DIR
-  ///    — the disk-mode store directory (default ./.se2gis-cache). Throws
-  ///    UserError on an unparsable mode or an unusable cache directory.
-  ///  - SE2GIS_LOG — log level (error|warn|info|debug; throws UserError on
-  ///    anything else).
-  ///  - SE2GIS_TRACE — trace output path (a dump of the flight recorder).
+  /// Builds a config from the environment: \p DefaultTimeoutMs, then the
+  /// value of every set variable of solverSettings(), then check(). Throws
+  /// UserError, naming the variable, on a value its row cannot parse.
   static SolverConfig fromEnv(std::int64_t DefaultTimeoutMs = 5000);
+
+  /// If \p Argv[I] is the flag of a row of solverSettings(), parses
+  /// \p Argv[I + 1] into this config, advances \p I past it and returns
+  /// true; returns false for any other argument. Throws UserError, naming
+  /// the flag, on a missing or unparsable value.
+  bool parseFlag(int Argc, char **Argv, int &I);
+
+  /// Throws UserError when the cache settings cannot work: a disk or
+  /// remote cache whose directory is unusable, or a remote cache with no
+  /// daemon address.
+  void check() const;
 };
+
+/// One solver setting: its SE2GIS_* variable, its flag on `se2gis` and
+/// `se2gis_served` (nullptr for the settings only suite sweeps read), the
+/// argument and help text usage() shows, and the parser that stores a value
+/// into a config (throwing UserError when it cannot).
+struct SolverSetting {
+  const char *Env;
+  const char *Flag;
+  const char *Arg;
+  const char *Help;
+  void (*Parse)(SolverConfig &C, const std::string &Value);
+};
+
+/// Every solver setting, one row each.
+std::span<const SolverSetting> solverSettings();
+
+/// The usage lines of the flags of solverSettings(): each flag with its
+/// argument and environment variable, then its help text.
+std::string solverFlagUsage();
 
 /// One unit of synthesis work: a problem and the algorithm to run on it.
 /// The problem is shared so a suite can fan one parse out to several

@@ -64,7 +64,7 @@ bool Server::start(std::string &Error) {
   logf(LogLevel::Info, "service",
        "listening on %s (%u workers, queue bound %zu, default budget %lld ms)",
        addr().str().c_str(), WorkerCount, Config.MaxQueue,
-       static_cast<long long>(Config.DefaultTimeoutMs));
+       static_cast<long long>(Config.Base.Algo.TimeoutMs));
 
   for (unsigned I = 0; I < WorkerCount; ++I)
     WorkerThreads.emplace_back([this] { workerLoop(); });
@@ -149,8 +149,10 @@ JsonValue Server::handleSubmit(const JsonValue &Req) {
                              "unknown algorithm '" + AlgoName + "'");
   Spec.Algorithm = *Algo;
 
-  std::int64_t TimeoutMs = Req.getInt("timeout_ms", Config.DefaultTimeoutMs);
-  Spec.TimeoutMs = TimeoutMs < 0 ? Config.DefaultTimeoutMs : TimeoutMs;
+  std::int64_t TimeoutMs = Req.getInt("timeout_ms", -1);
+  if (TimeoutMs < 0)
+    TimeoutMs = Config.Base.Algo.TimeoutMs;
+  Spec.TimeoutMs = TimeoutMs;
   std::int64_t Priority = Req.getInt("priority", 0);
   if (Priority > 1000)
     Priority = 1000;

@@ -50,8 +50,6 @@ struct ServiceConfig {
   unsigned Workers = 0;
   /// Admission control: maximum queued (not yet running) jobs.
   std::size_t MaxQueue = 64;
-  /// Per-job default budget when a submit carries no timeout_ms.
-  std::int64_t DefaultTimeoutMs = 5000;
   /// Budget for in-flight work during a drain before it is cancelled.
   std::int64_t DrainTimeoutMs = 10000;
   /// Optional plain-HTTP metrics listener ("unix:<path>" or
@@ -65,7 +63,9 @@ struct ServiceConfig {
   /// `<dir>/flight-fatal.<pid>.json`.
   std::string FlightDir;
   /// Base solver configuration every job runs under (cache mode/dir, log
-  /// level, trace path); per-job fields (timeout, token) are overridden.
+  /// level, trace path, seed, unrealizability channels). Its
+  /// Algo.TimeoutMs is the budget of a submit that carries no timeout_ms;
+  /// a job's own timeout and token replace the base's.
   SolverConfig Base;
 };
 

@@ -183,8 +183,8 @@ void runOne(SuiteRecord &Rec, std::shared_ptr<const Problem> P,
 /// pre-assigned record slot — inline on the calling thread when \p Jobs is
 /// 1, else as one pool job each. Loaded problems are immutable after
 /// validation and every SmtQuery solves on its own worker's thread-local
-/// Z3 session (private fresh contexts when SE2GIS_SMT_INCREMENTAL=off —
-/// never a solver shared across threads), so jobs never share mutable
+/// Z3 session (private fresh contexts when AlgoOptions::SmtIncremental is
+/// off — never a solver shared across threads), so jobs never share mutable
 /// state; records come back in registry order whatever the worker count.
 std::vector<SuiteRecord> runRecords(const SuiteOptions &Opts, unsigned Jobs) {
   std::vector<SuiteRecord> Records;

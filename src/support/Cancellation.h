@@ -19,10 +19,13 @@
 ///    instantiations and induction cases, and — decimated via \c PollGate —
 ///    inside the enumerator's candidate hot loop.
 ///  - the SMT layer maps the *remaining* budget onto per-query Z3 limits
-///    (\c queryBudgetMs feeding a deterministic rlimit), so a single hard
-///    query cannot overshoot the deadline by more than one per-query slice,
-///    and a Z3 `unknown` at an expired deadline is accounted as
-///    budget-exceeded rather than solver incompleteness.
+///    (\c queryBudgetMs feeding a deterministic rlimit), and a Z3 `unknown`
+///    at an expired deadline is accounted as budget-exceeded rather than
+///    solver incompleteness. The rlimit is a work budget, not a time
+///    budget, and nothing interrupts a query in flight, so how far one hard
+///    query overshoots the deadline is unbounded: a pigeonhole query was
+///    measured at about 40x its slice, and nonlinear queries ignore the
+///    rlimit (DESIGN.md "Cancellation model").
 ///
 //===----------------------------------------------------------------------===//
 

@@ -126,7 +126,7 @@ namespace se2gis {
   X(Smt, "smt", "inside SmtQuery::checkSat, Z3 and cache probe")               \
   X(Enum, "enum", "PBE enumeration searches")                                  \
   X(Induction, "induction", "the structural-induction prover minus its SMT")   \
-  X(Chc, "chc", "the CHC channel's fixedpoint queries")
+  X(Chc, "chc", "the CHC channel's rungs: context, encoding and query")
 
 #define SE2GIS_TELEMETRY_ENUMERATOR(Enumerator, Key, Help) Enumerator,
 

@@ -147,6 +147,18 @@ TEST(ChcChannelTest, ProvesUnrealizableWhereWitnessDoes) {
   }
 }
 
+TEST(ChcChannelTest, PhasesCoverMostOfTheRun) {
+  // Each rung's context, encoding and query count as the chc phase.
+  AlgoOptions Opts;
+  Opts.TimeoutMs = 20000;
+  Outcome R = runChcChannel(load("unreal/sum"), Opts);
+  ASSERT_EQ(R.V, Verdict::Unrealizable) << R.Detail;
+  double PhaseMs = 0;
+  for (size_t I = 0; I < static_cast<size_t>(Phase::NumPhases); ++I)
+    PhaseMs += R.Stats.Phases.getMs(static_cast<Phase>(I));
+  EXPECT_GE(PhaseMs, 0.5 * R.Stats.ElapsedMs);
+}
+
 TEST(ChcChannelTest, NeverCallsRealizableProblemUnrealizable) {
   for (const char *Name : {"list/sum", "list/length"}) {
     Problem P = load(Name);

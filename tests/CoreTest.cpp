@@ -5,15 +5,21 @@
 #include "core/Certificates.h"
 #include "core/InvariantInfer.h"
 #include "core/RecursionElim.h"
+#include "core/SynthesisTask.h"
 #include "core/Witness.h"
 
 #include "ast/Simplify.h"
 #include "frontend/Elaborate.h"
+#include "support/Diagnostics.h"
 #include "synth/Grammar.h"
 
 #include "TestPrograms.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <optional>
+#include <tuple>
 
 using namespace se2gis;
 
@@ -288,6 +294,64 @@ TEST(AlgorithmsTest, SE2GISParallelizesSumOverConcatLists) {
                                       Value::mkData(Single, {Value::mkInt(2)})}),
                Value::mkData(Single, {Value::mkInt(4)})});
   EXPECT_EQ(I.call("par", {T})->getInt(), 7);
+}
+
+// --- Solver settings ----------------------------------------------------===//
+
+auto settingFields(const SolverConfig &C) {
+  return std::make_tuple(C.Algo.TimeoutMs, C.Algo.Seed, C.Algo.Unreal,
+                         C.Cache.Mode, C.Cache.Dir, C.Cache.Addr, C.Log.Level,
+                         C.TracePath, C.Filter, C.Jobs, C.PerfJsonPath);
+}
+
+/// The config \p Value gives through the row's variable or, when
+/// \p AsFlag, its flag; nullopt when it throws UserError.
+std::optional<SolverConfig> parseSetting(const SolverSetting &S,
+                                         std::string Value, bool AsFlag) {
+  std::string Flag = S.Flag;
+  char *Argv[] = {Flag.data(), Value.data()};
+  int I = 0;
+  try {
+    if (!AsFlag) {
+      ::setenv(S.Env, Value.c_str(), 1);
+      SolverConfig C = SolverConfig::fromEnv();
+      ::unsetenv(S.Env);
+      return C;
+    }
+    SolverConfig C = SolverConfig::fromEnv();
+    EXPECT_TRUE(C.parseFlag(2, Argv, I));
+    return C;
+  } catch (const UserError &) {
+    ::unsetenv(S.Env);
+    return std::nullopt;
+  }
+}
+
+TEST(SolverConfigTest, FlagsAndEnvironmentAgree) {
+  const std::string Usage = solverFlagUsage();
+  for (const SolverSetting &S : solverSettings()) {
+    if (!S.Flag)
+      continue;
+    SCOPED_TRACE(S.Flag);
+    EXPECT_NE(Usage.find(std::string(S.Flag) + " "), std::string::npos);
+    // A non-default value: an enum's second alternative, else a number or
+    // a name.
+    std::string Arg = S.Arg;
+    bool IsEnum = Arg.find('|') != std::string::npos;
+    std::string Good = IsEnum ? Arg.substr(Arg.find('|') + 1)
+                       : Arg == "N" ? "7"
+                                    : "name";
+    Good = Good.substr(0, Good.find('|'));
+    auto FromEnv = parseSetting(S, Good, false);
+    auto FromFlag = parseSetting(S, Good, true);
+    ASSERT_TRUE(FromEnv && FromFlag) << Good;
+    EXPECT_EQ(settingFields(*FromEnv), settingFields(*FromFlag));
+    EXPECT_NE(settingFields(*FromFlag), settingFields(SolverConfig::fromEnv()));
+    if (IsEnum || Arg == "N") {
+      EXPECT_FALSE(parseSetting(S, "bogus", false));
+      EXPECT_FALSE(parseSetting(S, "bogus", true));
+    }
+  }
 }
 
 } // namespace

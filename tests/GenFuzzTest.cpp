@@ -11,10 +11,8 @@
 #include "gen/Generator.h"
 #include "gen/Shrink.h"
 
-#include "core/SynthesisTask.h"
 #include "support/PerfCounters.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -66,14 +64,6 @@ TEST(GeneratorTest, CountsGenerationInPerfCounters) {
     generateCase(/*GenSeed=*/11, Case);
   PerfSnapshot Delta = snapshotPerf().since(Before);
   EXPECT_GE(Delta.get(PerfCounter::GenCases), 5u);
-}
-
-TEST(GeneratorTest, GenSeedComesFromEnvironment) {
-  ::setenv("SE2GIS_GEN_SEED", "123", 1);
-  SolverConfig C = SolverConfig::fromEnv();
-  ::unsetenv("SE2GIS_GEN_SEED");
-  EXPECT_EQ(C.GenSeed, 123u);
-  EXPECT_EQ(SolverConfig::fromEnv().GenSeed, 0u);
 }
 
 // --- Shrinking ----------------------------------------------------------===//

@@ -577,6 +577,32 @@ TEST(ServiceIntegration, TimeoutJobReportsTimeoutVerdict) {
   EXPECT_EQ(Resp.getString("verdict"), "timeout");
 }
 
+TEST(ServiceIntegration, BaseTimeoutIsTheJobDefault) {
+  // The base config's budget (SE2GIS_TIMEOUT_MS / --timeout-ms on the
+  // daemon) is what a submit without timeout_ms runs under.
+  ServiceConfig Config;
+  Config.Base.Algo.TimeoutMs = 1;
+  DaemonFixture D(Config);
+  auto C = D.client();
+  ASSERT_NE(C, nullptr);
+
+  JsonValue Req = JsonValue::object();
+  Req.set("method", JsonValue::str("submit"));
+  Req.set("benchmark", JsonValue::str("list/sum"));
+  JsonValue Resp;
+  std::string Error;
+  ASSERT_TRUE(C->call(Req, Resp, Error)) << Error;
+  ASSERT_TRUE(Resp.getBool("ok")) << Resp.dump();
+  std::string Id = Resp.getString("job");
+  EXPECT_EQ(awaitTerminal(*C, Id), "done");
+
+  JsonValue Result = JsonValue::object();
+  Result.set("method", JsonValue::str("result"));
+  Result.set("job", JsonValue::str(Id));
+  ASSERT_TRUE(C->call(Result, Resp, Error)) << Error;
+  EXPECT_EQ(Resp.getString("verdict"), "timeout");
+}
+
 TEST(ServiceIntegration, AdmissionControlRejectsTyped) {
   ServiceConfig Config;
   Config.Workers = 1;

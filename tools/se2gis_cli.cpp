@@ -9,24 +9,11 @@
 ///
 ///   se2gis [options] <problem-file>
 ///   se2gis [options] --benchmark <name>
-///     --algo se2gis|segis|segis-uc|portfolio   (default: se2gis)
-///     --timeout N                              overall budget in seconds
-///                                              (0 = unlimited)
-///     --timeout-ms N                           the same in milliseconds
-///     --jobs N                                 worker threads for sweeps /
-///                                              portfolio bookkeeping
-///     --seed N                                 Z3 random seed
-///     --cache off|mem|disk|remote              memoization mode
-///     --cache-dir DIR                          persistent store directory
-///                                              (default: ./.se2gis-cache)
-///     --cache-addr ADDR                        se2gis_cached address for
-///                                              --cache remote (unix:/path
-///                                              or tcp:host:port)
-///     --log-level error|warn|info|debug        logger verbosity
-///     --trace PATH                             write a Chrome trace_event
-///                                              JSON file (Perfetto-viewable)
-///     --print-problem                          echo the parsed components
-///     --quiet                                  result line only
+///     --algo se2gis|segis|segis-uc|chc|portfolio   (default: se2gis)
+///     --print-problem                              echo the parsed components
+///     --quiet                                      result line only
+///     plus the solver flags of SolverConfig's settings table (`se2gis
+///     --help` lists them); each overrides its SE2GIS_* variable.
 ///
 /// Exit code: 0 realizable, 1 unrealizable, 2 timeout, 3 failure, 64 usage.
 ///
@@ -50,8 +37,6 @@
 /// dumps the benchmark registry; with --json one machine-readable array of
 /// {"name","family","realizable"}.
 ///
-/// Flags override the SE2GIS_* environment (read via SolverConfig::fromEnv).
-///
 //===----------------------------------------------------------------------===//
 
 #include "core/SynthesisTask.h"
@@ -64,7 +49,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -79,12 +63,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: se2gis [--algo se2gis|segis|segis-uc|chc|portfolio]\n"
-      "              [--timeout N] [--timeout-ms N] [--jobs N] [--seed N]\n"
-      "              [--unreal witness|chc|race] [--smt-incremental on|off]\n"
-      "              [--cache off|mem|disk|remote] [--cache-dir DIR]\n"
-      "              [--cache-addr ADDR]\n"
-      "              [--log-level error|warn|info|debug] [--trace PATH]\n"
-      "              [--print-problem] [--quiet]\n"
+      "              [solver options] [--print-problem] [--quiet]\n"
       "              (<problem-file> | --benchmark <name>)\n"
       "       se2gis submit --connect ADDR (--benchmark NAME | --source "
       "FILE)\n"
@@ -93,7 +72,9 @@ void usage() {
       "       se2gis stats --connect ADDR\n"
       "       se2gis metrics --connect ADDR\n"
       "       se2gis drain --connect ADDR [--deadline-ms N]\n"
-      "       se2gis list [--json]\n");
+      "       se2gis list [--json]\n"
+      "solver options (each overrides its SE2GIS_* variable):\n%s",
+      solverFlagUsage().c_str());
 }
 
 int verdictExitCode(const std::string &Verdict) {
@@ -334,150 +315,67 @@ int main(int argc, char **argv) {
   }
 
   SolverConfig Config;
-  try {
-    Config = SolverConfig::fromEnv(/*DefaultTimeoutMs=*/60000);
-  } catch (const UserError &E) {
-    logf(LogLevel::Error, "cli", "%s", E.what());
-    return 64;
-  }
   AlgorithmKind Algo = AlgorithmKind::SE2GIS;
   bool PrintProblem = false;
   bool Quiet = false;
   std::string Path;
   std::string Benchmark;
-
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg == "--algo" && I + 1 < argc) {
-      std::string Name = argv[++I];
-      auto K = parseAlgorithmName(Name);
-      if (!K) {
-        logf(LogLevel::Error, "cli", "unknown algorithm '%s'", Name.c_str());
-        return 64;
-      }
-      Algo = *K;
-    } else if (Arg == "--timeout" && I + 1 < argc) {
-      // Seconds; 0 disables the deadline (Deadline::afterMs(<=0) is
-      // unlimited).
-      Config.Algo.TimeoutMs = std::atoll(argv[++I]) * 1000;
-    } else if (Arg == "--timeout-ms" && I + 1 < argc) {
-      Config.Algo.TimeoutMs = std::atoll(argv[++I]);
-    } else if (Arg == "--jobs" && I + 1 < argc) {
-      long V = std::atol(argv[++I]);
-      Config.Jobs = V > 0 ? static_cast<unsigned>(V) : 0;
-    } else if (Arg == "--seed" && I + 1 < argc) {
-      long long V = std::atoll(argv[++I]);
-      Config.Algo.Seed = V > 0 ? static_cast<unsigned>(V) : 0;
-    } else if (Arg == "--unreal" && I + 1 < argc) {
-      std::string Name = argv[++I];
-      auto Mode = parseUnrealMode(Name);
-      if (!Mode) {
-        logf(LogLevel::Error, "cli",
-             "--unreal expects witness, chc, or race, got '%s'",
-             Name.c_str());
-        return 64;
-      }
-      Config.Algo.Unreal = *Mode;
-    } else if (Arg == "--smt-incremental" && I + 1 < argc) {
-      std::string Mode = argv[++I];
-      if (Mode == "on")
-        Config.Algo.SmtIncremental = true;
-      else if (Mode == "off")
-        Config.Algo.SmtIncremental = false;
-      else {
-        logf(LogLevel::Error, "cli",
-             "--smt-incremental expects on or off, got '%s'", Mode.c_str());
-        return 64;
-      }
-    } else if (Arg == "--cache" && I + 1 < argc) {
-      std::string Name = argv[++I];
-      auto Mode = parseCacheMode(Name);
-      if (!Mode) {
-        logf(LogLevel::Error, "cli", "unknown cache mode '%s'", Name.c_str());
-        return 64;
-      }
-      Config.Cache.Mode = *Mode;
-    } else if (Arg == "--cache-dir" && I + 1 < argc) {
-      Config.Cache.Dir = argv[++I];
-    } else if (Arg == "--cache-addr" && I + 1 < argc) {
-      Config.Cache.Addr = argv[++I];
-    } else if (Arg == "--log-level" && I + 1 < argc) {
-      std::string Name = argv[++I];
-      auto Level = parseLogLevel(Name);
-      if (!Level) {
-        logf(LogLevel::Error, "cli", "unknown log level '%s'", Name.c_str());
-        return 64;
-      }
-      Config.Log.Level = *Level;
-    } else if (Arg == "--trace" && I + 1 < argc) {
-      Config.TracePath = argv[++I];
-    } else if (Arg == "--benchmark" && I + 1 < argc) {
-      Benchmark = argv[++I];
-    } else if (Arg == "--print-problem") {
-      PrintProblem = true;
-    } else if (Arg == "--quiet") {
-      Quiet = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      logf(LogLevel::Error, "cli", "unknown option '%s'", Arg.c_str());
-      usage();
-      return 64;
-    } else {
-      Path = Arg;
-    }
-  }
-  if (Path.empty() == Benchmark.empty()) {
-    // Neither or both: direct mode wants exactly one problem source.
-    usage();
-    return 64;
-  }
-  if (Config.Cache.Mode == CacheMode::Disk ||
-      Config.Cache.Mode == CacheMode::Remote) {
-    std::string Err = validateCacheDir(Config.Cache.Dir);
-    if (!Err.empty()) {
-      logf(LogLevel::Error, "cli", "--cache-dir: %s", Err.c_str());
-      return 64;
-    }
-  }
-  if (Config.Cache.Mode == CacheMode::Remote && Config.Cache.Addr.empty()) {
-    logf(LogLevel::Error, "cli",
-         "--cache remote needs --cache-addr (or SE2GIS_CACHE_ADDR)");
-    return 64;
-  }
-
   std::shared_ptr<const Problem> P;
   std::string DisplayName;
-  if (!Benchmark.empty()) {
-    const BenchmarkDef *Def = findBenchmark(Benchmark);
-    if (!Def) {
-      logf(LogLevel::Error, "cli",
-           "unknown benchmark '%s' (see `se2gis list`)", Benchmark.c_str());
+
+  try {
+    Config = SolverConfig::fromEnv(/*DefaultTimeoutMs=*/60000);
+    for (int I = 1; I < argc; ++I) {
+      if (Config.parseFlag(argc, argv, I))
+        continue;
+      std::string Arg = argv[I];
+      if (Arg == "--algo" && I + 1 < argc) {
+        std::string Name = argv[++I];
+        auto K = parseAlgorithmName(Name);
+        if (!K)
+          userError("unknown algorithm '" + Name + "'");
+        Algo = *K;
+      } else if (Arg == "--benchmark" && I + 1 < argc) {
+        Benchmark = argv[++I];
+      } else if (Arg == "--print-problem") {
+        PrintProblem = true;
+      } else if (Arg == "--quiet") {
+        Quiet = true;
+      } else if (Arg == "--help" || Arg == "-h") {
+        usage();
+        return 0;
+      } else if (!Arg.empty() && Arg[0] == '-') {
+        logf(LogLevel::Error, "cli", "unknown option '%s'", Arg.c_str());
+        usage();
+        return 64;
+      } else {
+        Path = Arg;
+      }
+    }
+    Config.check();
+    if (Path.empty() == Benchmark.empty()) {
+      // Neither or both: direct mode wants exactly one problem source.
+      usage();
       return 64;
     }
-    DisplayName = Def->Name;
-    try {
+    if (!Benchmark.empty()) {
+      const BenchmarkDef *Def = findBenchmark(Benchmark);
+      if (!Def)
+        userError("unknown benchmark '" + Benchmark + "' (see `se2gis list`)");
+      DisplayName = Def->Name;
       P = std::make_shared<const Problem>(loadBenchmark(*Def));
-    } catch (const UserError &E) {
-      logf(LogLevel::Error, "cli", "%s", E.what());
-      return 64;
-    }
-  } else {
-    std::ifstream In(Path);
-    if (!In) {
-      logf(LogLevel::Error, "cli", "cannot open '%s'", Path.c_str());
-      return 64;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    DisplayName = Path;
-    try {
+    } else {
+      std::ifstream In(Path);
+      if (!In)
+        userError("cannot open '" + Path + "'");
+      std::ostringstream Buf;
+      Buf << In.rdbuf();
+      DisplayName = Path;
       P = std::make_shared<const Problem>(loadProblem(Buf.str()));
-    } catch (const UserError &E) {
-      logf(LogLevel::Error, "cli", "%s", E.what());
-      return 64;
     }
+  } catch (const UserError &E) {
+    logf(LogLevel::Error, "cli", "%s", E.what());
+    return 64;
   }
 
   if (PrintProblem) {
@@ -512,8 +410,6 @@ int main(int argc, char **argv) {
       std::printf(" %s=%.1f ms", phaseName(static_cast<Phase>(I)),
                   R.Stats.Phases.getMs(static_cast<Phase>(I)));
     std::printf("\n");
-  }
-  if (!Quiet) {
     if (R.V == Verdict::Realizable) {
       std::printf("%s", solutionToString(*P, R.Solution).c_str());
       if (R.Stats.SolutionProvedInductive)
@@ -529,15 +425,5 @@ int main(int argc, char **argv) {
                   R.Stats.Refinements, R.Stats.Coarsenings,
                   R.Stats.LastCandidate.c_str());
   }
-  switch (R.V) {
-  case Verdict::Realizable:
-    return 0;
-  case Verdict::Unrealizable:
-    return 1;
-  case Verdict::Timeout:
-    return 2;
-  case Verdict::Failed:
-    return 3;
-  }
-  return 3;
+  return verdictExitCode(verdictName(R.V));
 }

@@ -109,11 +109,9 @@ int main(int argc, char **argv) {
   DiffOptions Opts;
 
   try {
-    // Environment first (SE2GIS_GEN_SEED, SE2GIS_TIMEOUT_MS), flags win.
-    SolverConfig Env = SolverConfig::fromEnv(/*DefaultTimeoutMs=*/2000);
-    GenSeed = Env.GenSeed;
-    SeedSet = Env.GenSeed != 0;
-    Opts.TimeoutMs = Env.Algo.TimeoutMs;
+    // The environment's budget first, flags win.
+    Opts.TimeoutMs =
+        SolverConfig::fromEnv(/*DefaultTimeoutMs=*/2000).Algo.TimeoutMs;
   } catch (const UserError &E) {
     logf(LogLevel::Error, "fuzz", "%s", E.what());
     return 64;
@@ -204,8 +202,7 @@ int main(int argc, char **argv) {
   }
 
   if (!SeedSet) {
-    logf(LogLevel::Error, "fuzz",
-         "--gen-seed is required (or SE2GIS_GEN_SEED)");
+    logf(LogLevel::Error, "fuzz", "--gen-seed is required");
     usage();
     return 64;
   }

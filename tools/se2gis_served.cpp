@@ -10,23 +10,21 @@
 ///                            binds an ephemeral port, printed on startup)
 ///     --workers N            worker threads (0 = auto: max(1, hw/2))
 ///     --max-queue N          admission bound on queued jobs (default 64)
-///     --timeout-ms N         default per-job budget (default 5000)
 ///     --drain-timeout-ms N   in-flight budget during drain (default 10000)
-///     --cache off|mem|disk|remote  memoization mode shared by all workers
-///     --cache-dir DIR        persistent store directory
-///     --cache-addr ADDR      se2gis_cached address for --cache remote
-///     --log-level error|warn|info|debug
-///     --trace PATH           Chrome trace_event output
 ///     --metrics-addr ADDR    plain-HTTP Prometheus listener (unix:/tcp:)
 ///     --flight-dir DIR       flight-recorder dump directory
+///     plus the solver flags of SolverConfig's settings table, shared by
+///     every job (`se2gis_served --help` lists them); each overrides its
+///     SE2GIS_* variable. The budget (--timeout-ms, default 5000) is the
+///     default of a submit that carries no timeout_ms.
 ///
-/// Flags override the SE2GIS_* environment (read via SolverConfig::fromEnv).
 /// SIGINT/SIGTERM trigger a graceful drain: stop admitting, finish or
 /// cancel in-flight work under the drain deadline, flush (fsync) the
 /// persistent cache, exit 0.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/SynthesisTask.h"
 #include "service/Server.h"
 #include "support/Diagnostics.h"
 #include "support/Log.h"
@@ -34,7 +32,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace se2gis;
@@ -45,15 +42,12 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: se2gis_served [--listen unix:<path>|tcp:<host>:<port>]\n"
-      "                     [--workers N] [--max-queue N] [--timeout-ms N]\n"
-      "                     [--drain-timeout-ms N] [--unreal witness|chc|race]\n"
-      "                     [--smt-incremental on|off]\n"
-      "                     [--cache off|mem|disk|remote]\n"
-      "                     [--cache-dir DIR] [--cache-addr ADDR]\n"
-      "                     [--log-level error|warn|info|debug]\n"
-      "                     [--trace PATH]\n"
+      "                     [--workers N] [--max-queue N]\n"
+      "                     [--drain-timeout-ms N]\n"
       "                     [--metrics-addr unix:<path>|tcp:<host>:<port>]\n"
-      "                     [--flight-dir DIR]\n");
+      "                     [--flight-dir DIR] [solver options]\n"
+      "solver options (each overrides its SE2GIS_* variable):\n%s",
+      solverFlagUsage().c_str());
 }
 
 /// The signal handler may only touch async-signal-safe state; the server
@@ -71,89 +65,38 @@ int main(int argc, char **argv) {
   ServiceConfig Config;
   try {
     Config.Base = SolverConfig::fromEnv(/*DefaultTimeoutMs=*/5000);
+    for (int I = 1; I < argc; ++I) {
+      if (Config.Base.parseFlag(argc, argv, I))
+        continue;
+      std::string Arg = argv[I];
+      if (Arg == "--listen" && I + 1 < argc) {
+        Config.Listen = argv[++I];
+      } else if (Arg == "--workers" && I + 1 < argc) {
+        long V = std::atol(argv[++I]);
+        Config.Workers = V > 0 ? static_cast<unsigned>(V) : 0;
+      } else if (Arg == "--max-queue" && I + 1 < argc) {
+        long V = std::atol(argv[++I]);
+        if (V < 1)
+          userError("--max-queue must be at least 1");
+        Config.MaxQueue = static_cast<std::size_t>(V);
+      } else if (Arg == "--drain-timeout-ms" && I + 1 < argc) {
+        Config.DrainTimeoutMs = std::atoll(argv[++I]);
+      } else if (Arg == "--metrics-addr" && I + 1 < argc) {
+        Config.MetricsAddr = argv[++I];
+      } else if (Arg == "--flight-dir" && I + 1 < argc) {
+        Config.FlightDir = argv[++I];
+      } else if (Arg == "--help" || Arg == "-h") {
+        usage();
+        return 0;
+      } else {
+        logf(LogLevel::Error, "served", "unknown option '%s'", Arg.c_str());
+        usage();
+        return 64;
+      }
+    }
+    Config.Base.check();
   } catch (const UserError &E) {
     logf(LogLevel::Error, "served", "%s", E.what());
-    return 64;
-  }
-
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg == "--listen" && I + 1 < argc) {
-      Config.Listen = argv[++I];
-    } else if (Arg == "--workers" && I + 1 < argc) {
-      long V = std::atol(argv[++I]);
-      Config.Workers = V > 0 ? static_cast<unsigned>(V) : 0;
-    } else if (Arg == "--max-queue" && I + 1 < argc) {
-      long V = std::atol(argv[++I]);
-      if (V < 1) {
-        logf(LogLevel::Error, "served", "--max-queue must be at least 1");
-        return 64;
-      }
-      Config.MaxQueue = static_cast<std::size_t>(V);
-    } else if (Arg == "--timeout-ms" && I + 1 < argc) {
-      Config.DefaultTimeoutMs = std::atoll(argv[++I]);
-    } else if (Arg == "--drain-timeout-ms" && I + 1 < argc) {
-      Config.DrainTimeoutMs = std::atoll(argv[++I]);
-    } else if (Arg == "--unreal" && I + 1 < argc) {
-      std::string Name = argv[++I];
-      auto Mode = parseUnrealMode(Name);
-      if (!Mode) {
-        logf(LogLevel::Error, "served",
-             "--unreal expects witness, chc, or race, got '%s'", Name.c_str());
-        return 64;
-      }
-      Config.Base.Algo.Unreal = *Mode;
-    } else if (Arg == "--smt-incremental" && I + 1 < argc) {
-      std::string Mode = argv[++I];
-      if (Mode == "on")
-        Config.Base.Algo.SmtIncremental = true;
-      else if (Mode == "off")
-        Config.Base.Algo.SmtIncremental = false;
-      else {
-        logf(LogLevel::Error, "served",
-             "--smt-incremental expects on or off, got '%s'", Mode.c_str());
-        return 64;
-      }
-    } else if (Arg == "--cache" && I + 1 < argc) {
-      std::string Name = argv[++I];
-      auto Mode = parseCacheMode(Name);
-      if (!Mode) {
-        logf(LogLevel::Error, "served", "unknown cache mode '%s'", Name.c_str());
-        return 64;
-      }
-      Config.Base.Cache.Mode = *Mode;
-    } else if (Arg == "--cache-dir" && I + 1 < argc) {
-      Config.Base.Cache.Dir = argv[++I];
-    } else if (Arg == "--cache-addr" && I + 1 < argc) {
-      Config.Base.Cache.Addr = argv[++I];
-    } else if (Arg == "--log-level" && I + 1 < argc) {
-      std::string Name = argv[++I];
-      auto Level = parseLogLevel(Name);
-      if (!Level) {
-        logf(LogLevel::Error, "served", "unknown log level '%s'", Name.c_str());
-        return 64;
-      }
-      Config.Base.Log.Level = *Level;
-    } else if (Arg == "--trace" && I + 1 < argc) {
-      Config.Base.TracePath = argv[++I];
-    } else if (Arg == "--metrics-addr" && I + 1 < argc) {
-      Config.MetricsAddr = argv[++I];
-    } else if (Arg == "--flight-dir" && I + 1 < argc) {
-      Config.FlightDir = argv[++I];
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      logf(LogLevel::Error, "served", "unknown option '%s'", Arg.c_str());
-      usage();
-      return 64;
-    }
-  }
-
-  if (Config.Base.Cache.Mode == CacheMode::Remote &&
-      Config.Base.Cache.Addr.empty()) {
-    logf(LogLevel::Error, "served",
-         "--cache remote needs --cache-addr (or SE2GIS_CACHE_ADDR)");
     return 64;
   }
 
